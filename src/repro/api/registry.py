@@ -5,9 +5,10 @@ once in the :class:`~repro.db.SkinnerDB` facade's direct path and once in
 the serving layer's ``SERVABLE_ENGINES`` tuple — so adding an engine meant
 editing library code in two places that could (and did) drift.  Now a
 single :class:`EngineRegistry` owns the mapping from engine names to
-:class:`EngineSpec` entries; ``SkinnerDB.execute``, ``execute_direct``, the
+:class:`EngineSpec` entries; ``SkinnerDB.execute``, the
 :class:`~repro.serving.server.QueryServer`, and the PEP 249
-:class:`~repro.api.connection.Connection` all resolve engines here, and
+:class:`~repro.api.connection.Connection` (``execute`` and
+``execute_direct``) all resolve engines here, and
 third-party code extends the set with :func:`register_engine` without
 touching the library:
 
@@ -218,7 +219,7 @@ class EngineRegistry:
     def resolve(self, name: str) -> EngineSpec:
         """The spec for an engine name — the *single* unknown-engine error site.
 
-        Every execution path (``SkinnerDB.execute``, ``execute_direct``,
+        Every execution path (``SkinnerDB.execute``, ``Connection.execute_direct``,
         ``QueryServer.submit``, ``Connection.cursor()``) validates engine
         names here, so the error message cannot drift between paths.
         """

@@ -19,7 +19,6 @@ from repro.bench.experiments_figures import (
 )
 from repro.bench.experiments_docstore import docstore_axes
 from repro.bench.experiments_external import external_sqlite
-from repro.bench.experiments_hashjoin import hashjoin_kernel
 from repro.bench.experiments_postprocess import postprocess_pipeline
 from repro.bench.experiments_server import multitenant_server
 from repro.bench.experiments_serving import concurrent_serving
@@ -54,7 +53,6 @@ EXPERIMENTS = {
     "figure13": figure13,
     "concurrent_serving": concurrent_serving,
     "multitenant_server": multitenant_server,
-    "hashjoin_kernel": hashjoin_kernel,
     "postprocess_pipeline": postprocess_pipeline,
     "streaming_cursor": streaming_cursor,
     "cold_vs_warm_start": cold_vs_warm_start,

@@ -4,10 +4,11 @@ PR 1 vectorized the multi-way join, which moved the bottleneck downstream
 into post-processing.  This experiment isolates that stage: it materializes
 one large join result (a row-id relation over a single wide table) and runs
 aggregation-, DISTINCT-, and ORDER-BY-heavy queries through
-:func:`repro.engine.postprocess.post_process` in both ``postprocess_mode``
-settings, reporting wall time per query and the columnar speedup.  Outputs
-are cross-checked for equality on every run, so the speedup numbers are
-always backed by identical results.
+:func:`repro.engine.postprocess.post_process` (the columnar pipeline) and
+through the tuple-at-a-time row pipeline it falls back to, reporting wall
+time per query and the columnar speedup.  Outputs are cross-checked for
+equality on every run, so the speedup numbers are always backed by
+identical results.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.postprocess import post_process
+from repro.engine.postprocess import _post_process_rows, post_process
 from repro.engine.relation import RowIdRelation
 from repro.query.expressions import ColumnRef, FunctionCall, Literal, Star
 from repro.query.query import AggregateSpec, OrderItem, Query, SelectItem, make_query
@@ -90,7 +91,7 @@ def _assert_equal_outputs(expected: Table, actual: Table, label: str) -> None:
         raise AssertionError(f"{label}: column names diverge")
     for name in expected.column_names:
         if expected.column(name).values() != actual.column(name).values():
-            raise AssertionError(f"{label}: column {name!r} diverges between modes")
+            raise AssertionError(f"{label}: column {name!r} diverges between pipelines")
 
 
 def postprocess_pipeline(
@@ -109,11 +110,11 @@ def postprocess_pipeline(
     for name, query in _queries().items():
         timings: dict[str, float] = {}
         outputs: dict[str, Table] = {}
-        for mode in ("rows", "columnar"):
+        for mode, pipeline in (("rows", _post_process_rows), ("columnar", post_process)):
             best = float("inf")
             for _ in range(max(1, repetitions)):
                 started = time.perf_counter()
-                outputs[mode] = post_process(query, relation, tables, mode=mode)
+                outputs[mode] = pipeline(query, relation, tables, None)
                 best = min(best, time.perf_counter() - started)
             timings[mode] = best
         _assert_equal_outputs(outputs["rows"], outputs["columnar"], name)

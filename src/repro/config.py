@@ -23,29 +23,15 @@ class SkinnerConfig:
         (the paper's ``b``).
     batch_size:
         Skinner-C: how many candidate tuple indices the multi-way join
-        examines per vectorized batch.  ``1`` selects the scalar
-        tuple-at-a-time executor (the pre-batching behavior, kept for A/B
-        comparisons); larger values amortize interpreter overhead across
-        NumPy operations.  Batches never exceed the remaining slice budget.
+        examines per vectorized batch; larger values amortize interpreter
+        overhead across NumPy operations.  Batches never exceed the
+        remaining slice budget.
     exploration_weight:
         UCT exploration weight for Skinner-C.
     reward_function:
         ``"scaled_deltas"`` (the refined reward summing scaled tuple-index
         deltas) or ``"leftmost"`` (progress in the left-most table only, the
         simpler reward analyzed in §5).
-    postprocess_mode:
-        ``"columnar"`` (the default) runs projection, aggregation, DISTINCT,
-        and ORDER BY as NumPy operations over the join result's row-id
-        vectors; ``"rows"`` selects the tuple-at-a-time reference pipeline
-        (the pre-vectorization behavior, kept for A/B comparisons).  Queries
-        with UDF-bearing output expressions always use the row pipeline.
-    join_mode:
-        Hash-join implementation of the left-deep plan executor (used by
-        Skinner-G/H and the baselines): ``"vectorized"`` (the default) runs
-        the columnar build/probe kernel of
-        :mod:`repro.engine.joinkernels`; ``"rows"`` selects the dict-based
-        tuple-at-a-time reference path, kept for A/B comparisons.  Both
-        modes produce byte-identical join results and meter charges.
     use_hash_jump:
         Whether Skinner-C jumps tuple indices via hash lookups for equality
         join predicates.
@@ -155,8 +141,6 @@ class SkinnerConfig:
 
     slice_budget: int = 500
     batch_size: int = 1024
-    postprocess_mode: str = "columnar"
-    join_mode: str = "vectorized"
     exploration_weight: float = SKINNER_C_EXPLORATION_WEIGHT
     reward_function: str = "scaled_deltas"
     use_hash_jump: bool = True

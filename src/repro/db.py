@@ -36,7 +36,6 @@ Table(...)
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
 from typing import Any
@@ -200,9 +199,7 @@ class SkinnerDB:
 
         The query is routed through :attr:`server`'s single-query path, so
         it benefits from the serving-level result cache and the cross-query
-        join-order warm-start; :meth:`execute_direct` bypasses the serving
-        layer and constructs the engine directly (the two paths produce
-        identical results).
+        join-order warm-start.
 
         Parameters
         ----------
@@ -239,49 +236,5 @@ class SkinnerDB:
             threads=threads,
             forced_order=forced_order,
             use_result_cache=use_result_cache,
-            params=params,
-        )
-
-    def execute_direct(
-        self,
-        query: str | Query,
-        *,
-        engine: str | None = None,
-        profile: str = "postgres",
-        config: SkinnerConfig | None = None,
-        threads: int = 1,
-        forced_order: Sequence[str] | None = None,
-        params: Sequence[Any] | Mapping[str, Any] | None = None,
-    ) -> QueryResult:
-        """Execute a query on a directly constructed engine (no serving layer).
-
-        .. deprecated:: 1.1
-            The bespoke direct path predates the engine registry and the
-            serving layer; use ``cursor.execute(..., engine=...)`` (or
-            :meth:`execute` with ``use_result_cache=False``) instead, which
-            resolves the same registry and works over remote connections
-            too.  Scheduled for removal once the remaining A/B comparisons
-            migrate.
-
-        This is the pre-serving code path, kept for A/B comparisons and for
-        callers that want to bypass admission control and the caches; it
-        accepts the same arguments as :meth:`execute` (minus the cache
-        knob) and produces identical results.  Engine names resolve through
-        the same registry as :meth:`execute`, so both paths reject unknown
-        engines with the identical error.
-        """
-        warnings.warn(
-            "SkinnerDB.execute_direct is deprecated; use "
-            "cursor.execute(..., engine=...) via the engine registry instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._connection.execute_direct(
-            query,
-            engine=engine,
-            profile=profile,
-            config=config,
-            threads=threads,
-            forced_order=forced_order,
             params=params,
         )

@@ -6,9 +6,8 @@ of a query), producing a row-id relation.  It supports:
 
 * pre-processing (unary predicate filtering) with cached results,
 * hash joins when equality predicates link the new table to the prefix,
-  nested-loop joins otherwise; the hash join runs the vectorized kernel by
-  default, with ``join_mode="rows"`` selecting the dict-based reference path
-  (see :mod:`repro.engine.operators`),
+  nested-loop joins otherwise; the hash join runs the vectorized kernel of
+  :mod:`repro.engine.joinkernels` (see :mod:`repro.engine.operators`),
 * vectorized residual/unary predicate evaluation for UDF-free comparisons
   (see :mod:`repro.engine.vectorized`); only UDF predicates are evaluated
   tuple at a time,
@@ -24,12 +23,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.engine.meter import CostMeter
-from repro.engine.operators import (
-    filter_table,
-    hash_join_step,
-    nested_loop_step,
-    validate_join_mode,
-)
+from repro.engine.operators import filter_table, hash_join_step, nested_loop_step
 from repro.engine.relation import RowIdRelation
 from repro.errors import PlanningError
 from repro.query.query import Query
@@ -46,13 +40,10 @@ class PlanExecutor:
         catalog: Catalog,
         query: Query,
         udfs: UdfRegistry | None = None,
-        *,
-        join_mode: str = "vectorized",
     ) -> None:
         self._catalog = catalog
         self._query = query
         self._udfs = udfs
-        self._join_mode = validate_join_mode(join_mode)
         self._tables: dict[str, Table] = {
             alias: catalog.table(name) for alias, name in query.tables
         }
@@ -131,7 +122,6 @@ class PlanExecutor:
                 result = hash_join_step(
                     result, alias, self._tables[alias], positions_of[alias],
                     equi, residual, self._tables, meter, self._udfs,
-                    mode=self._join_mode,
                 )
             else:
                 result = nested_loop_step(
@@ -154,8 +144,7 @@ class PlanExecutor:
         if len(aliases) == 1:
             return int(self.filtered_positions(aliases[0]).shape[0])
         sub_query = _restrict_query(self._query, aliases)
-        executor = PlanExecutor(self._catalog, sub_query, self._udfs,
-                                join_mode=self._join_mode)
+        executor = PlanExecutor(self._catalog, sub_query, self._udfs)
         executor._filtered = {alias: self.filtered_positions(alias) for alias in aliases}
         meter = CostMeter()
         graph = sub_query.join_graph()

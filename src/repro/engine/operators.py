@@ -6,23 +6,19 @@ repository:
 * :func:`filter_table` — apply a table's unary predicates, producing the row
   positions that survive (pre-processing in the paper's terminology).
 * :func:`hash_join_step` — extend an intermediate result by one table via a
-  hash join on the applicable equality predicates, with residual predicates
-  evaluated tuple-at-a-time.
+  hash join on the applicable equality predicates, then filter by the
+  residual predicates.
 * :func:`nested_loop_step` — the fallback when no equality predicate links
   the new table to the current prefix (Cartesian product or generic/UDF-only
   join predicates).
 
-The hash join runs in one of two modes (``SkinnerConfig.join_mode``):
-
-* ``"vectorized"`` (default) — the columnar kernel from
-  :mod:`repro.engine.joinkernels`: composite keys encoded as int64 code
-  vectors, the build side grouped by stable argsort, the probe side matched
-  via ``searchsorted``, and the result emitted as whole selector arrays.
-* ``"rows"`` — the dict-based build/probe reference path, kept for A/B
-  comparisons (mirroring the ``postprocess_mode`` and ``batch_size=1``
-  precedents).  Both modes produce byte-identical relations and charge
-  identical meter work; NaN float join keys never match in either mode (see
-  :mod:`repro.engine.joinkernels`).
+The hash join is the columnar kernel from :mod:`repro.engine.joinkernels`:
+composite keys encoded as int64 code vectors, the build side grouped by
+stable argsort, the probe side matched via ``searchsorted``, and the result
+emitted as whole selector arrays.  It produces the same relation, in the same
+row order and with the same meter charges, as a dict-based tuple-at-a-time
+build/probe (``tests/oracles/rows_hash_join.py``); NaN float join keys never
+match (see :mod:`repro.engine.joinkernels`).
 
 All operators charge their work to a :class:`~repro.engine.meter.CostMeter`.
 """
@@ -30,7 +26,6 @@ All operators charge their work to a :class:`~repro.engine.meter.CostMeter`.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from typing import Any
 
 import numpy as np
 
@@ -53,17 +48,6 @@ from repro.query.expressions import ColumnRef
 from repro.query.predicates import Predicate
 from repro.query.udf import UdfRegistry
 from repro.storage.table import Table
-
-#: Valid hash-join implementations (``SkinnerConfig.join_mode``).
-JOIN_MODES = ("vectorized", "rows")
-
-
-def validate_join_mode(mode: str) -> str:
-    """Validate a ``join_mode`` value and return it."""
-    if mode not in JOIN_MODES:
-        raise ValueError(f"join_mode must be one of {JOIN_MODES}, got {mode!r}")
-    return mode
-
 
 def filter_table(
     table: Table,
@@ -159,61 +143,21 @@ def hash_join_step(
     tables: Mapping[str, Table],
     meter: CostMeter,
     udfs: UdfRegistry | None = None,
-    mode: str = "vectorized",
 ) -> RowIdRelation:
     """Extend ``prefix`` by ``alias`` using a hash join.
 
     ``equi_predicates`` must each connect ``alias`` to some alias already in
     the prefix via column equality.  ``residual_predicates`` are evaluated on
-    each candidate combination.  ``mode`` selects the vectorized kernel or
-    the dict-based ``"rows"`` reference path; both emit the same relation in
-    the same row order and charge the same meter work.
+    each candidate combination.
     """
-    validate_join_mode(mode)
     # Building the hash side scans/hashes the new table's tuples once, so it
     # is charged as scan work, not as hash probes: the probe counter must
     # mean the same thing across join implementations for the meter profiles
     # and the Table-6 ablation to be comparable.
     meter.charge_scan(positions.shape[0])
-    if mode == "rows":
-        candidate = _rows_hash_join(prefix, alias, table, positions, equi_predicates,
-                                    tables, meter)
-    else:
-        candidate = _vectorized_hash_join(prefix, alias, table, positions, equi_predicates,
-                                          tables, meter)
+    candidate = _vectorized_hash_join(prefix, alias, table, positions, equi_predicates,
+                                      tables, meter)
     return _apply_residual(candidate, residual_predicates, tables, meter, udfs)
-
-
-def _rows_hash_join(
-    prefix: RowIdRelation,
-    alias: str,
-    table: Table,
-    positions: np.ndarray,
-    equi_predicates: Sequence[Predicate],
-    tables: Mapping[str, Table],
-    meter: CostMeter,
-) -> RowIdRelation:
-    """Dict-based build/probe reference path (``join_mode="rows"``)."""
-    build_keys = _composite_keys_for_new(table, positions, alias, equi_predicates)
-    buckets: dict[Any, list[int]] = {}
-    for row, key in enumerate(build_keys):
-        buckets.setdefault(key, []).append(row)
-
-    probe_keys = _composite_keys_for_prefix(prefix, tables, alias, equi_predicates)
-    selector: list[int] = []
-    new_positions: list[int] = []
-    meter.charge_probe(len(prefix))
-    for prefix_row, key in enumerate(probe_keys):
-        matches = buckets.get(key, ())
-        if matches:
-            # Charge before materializing so a work budget cuts off an
-            # exploding join as soon as the budget is reached.
-            meter.charge_intermediate(len(matches))
-        for build_row in matches:
-            selector.append(prefix_row)
-            new_positions.append(int(positions[build_row]))
-    return prefix.extend(alias, np.asarray(new_positions, dtype=np.int64),
-                         np.asarray(selector, dtype=np.int64))
 
 
 def _vectorized_hash_join(
@@ -245,11 +189,11 @@ def _vectorized_hash_join(
     grouped = group_rows(keys.build_codes[build_rows_valid], build_rows_valid)
     probe_rows, groups = probe_grouped(grouped, keys.probe_codes, keys.probe_valid)
     # Charge before materializing so a work budget cuts off an exploding
-    # join as soon as the budget is reached.  The rows path charges one
-    # probe row's matches at a time and stops at the group that crosses the
-    # budget; to record the identical overshoot (Skinner-G/H merge aborted
-    # meters into their reported work), a charge that would exceed the
-    # remaining budget is truncated to the cumulative count through that
+    # join as soon as the budget is reached.  A tuple-at-a-time probe charges
+    # one probe row's matches at a time and stops at the group that crosses
+    # the budget; to record the identical overshoot (Skinner-G/H merge
+    # aborted meters into their reported work), a charge that would exceed
+    # the remaining budget is truncated to the cumulative count through that
     # same crossing group before it raises.
     counts = grouped.counts[groups]
     total_matches = int(counts.sum())
@@ -328,43 +272,3 @@ def _apply_residual(
                 mask[i] = predicate.evaluate(binding, udfs)
         selector = selector[mask]
     return candidate.take(selector)
-
-
-# ----------------------------------------------------------------------
-# key extraction for hash joins
-# ----------------------------------------------------------------------
-def _composite_keys_for_new(
-    table: Table,
-    positions: np.ndarray,
-    alias: str,
-    equi_predicates: Sequence[Predicate],
-) -> list[tuple[Any, ...]]:
-    """Hash keys (one per position) on the build side of the join."""
-    columns = []
-    for predicate in equi_predicates:
-        left, right = predicate.equi_join_columns()
-        ref = left if left.table == alias else right
-        columns.append(table.column(ref.column))
-    keys: list[tuple[Any, ...]] = []
-    for position in positions:
-        keys.append(tuple(column.value(int(position)) for column in columns))
-    return keys
-
-
-def _composite_keys_for_prefix(
-    prefix: RowIdRelation,
-    tables: Mapping[str, Table],
-    new_alias: str,
-    equi_predicates: Sequence[Predicate],
-) -> list[tuple[Any, ...]]:
-    """Hash keys (one per prefix row) on the probe side of the join."""
-    sources = []
-    for predicate in equi_predicates:
-        left, right = predicate.equi_join_columns()
-        ref = right if left.table == new_alias else left
-        sources.append((ref.table, tables[ref.table].column(ref.column)))
-    keys: list[tuple[Any, ...]] = []
-    for row in range(len(prefix)):
-        key = tuple(column.value(int(prefix.ids(alias_)[row])) for alias_, column in sources)
-        keys.append(key)
-    return keys

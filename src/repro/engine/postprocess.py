@@ -5,17 +5,18 @@ Post-processing materializes the requested output from them (paper §3:
 "post-processing involves grouping, aggregation, and sorting").  It is shared
 by all engines so that result correctness only depends on the join result.
 
-Two implementations produce identical outputs:
+Two pipelines produce identical outputs; the query picks one:
 
-* the **columnar** pipeline (the default) gathers each referenced column once
-  into a NumPy array over the join result's row-id vectors and runs
-  projection, grouping/aggregation (``reduceat`` over group segments),
-  DISTINCT, and ORDER BY as array operations;
+* the **columnar** pipeline gathers each referenced column once into a NumPy
+  array over the join result's row-id vectors and runs projection,
+  grouping/aggregation (``reduceat`` over group segments), DISTINCT, and
+  ORDER BY as array operations;
 * the **row** pipeline materializes one Python dict per result tuple and
-  processes them tuple at a time — the pre-vectorization reference, selected
-  with ``mode="rows"`` (``SkinnerConfig.postprocess_mode``) for A/B
-  comparisons, and used automatically whenever the query's expressions are
-  not vectorizable (UDF calls in the select list, GROUP BY, or ORDER BY).
+  processes them tuple at a time.  It runs whenever the columnar one cannot:
+  UDF calls in the select list, GROUP BY, or ORDER BY; value mixes the
+  columnar evaluator rejects (:class:`~repro.engine.vectorized.
+  NotVectorizable`); and the single default row of global aggregates over an
+  empty input.  Tests use it as the reference for the columnar pipeline.
 
 Both pipelines emit rows in the same order: groups appear in first-occurrence
 order, DISTINCT keeps first occurrences, and sorting is stable.
@@ -37,25 +38,17 @@ from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.storage.table import Table
 
-#: Valid values of the ``mode`` parameter / ``SkinnerConfig.postprocess_mode``.
-POSTPROCESS_MODES = ("columnar", "rows")
-
-
 def post_process(
     query: Query,
     relation: RowIdRelation,
     tables: Mapping[str, Table],
     udfs: UdfRegistry | None = None,
     meter: CostMeter | None = None,
-    *,
-    mode: str = "columnar",
 ) -> Table:
     """Turn a join result into the final output table of the query."""
-    if mode not in POSTPROCESS_MODES:
-        raise ExecutionError(f"unknown postprocess mode {mode!r}")
     meter = meter if meter is not None else CostMeter()
     meter.charge_output(len(relation))
-    if mode == "columnar" and _columnar_supported(query):
+    if _columnar_supported(query):
         try:
             return _post_process_columnar(query, relation, tables)
         except NotVectorizable:

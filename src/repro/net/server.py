@@ -31,6 +31,7 @@ ephemeral port for tests, benchmarks, and the self-contained quickstart.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import os
 import threading
 import time
@@ -394,7 +395,7 @@ class ReproServer:
             # A per-submission config carries its own parallel_workers —
             # the client serialized the whole dataclass, session defaults
             # must not override an explicit choice.
-            effective_config = SkinnerConfig(**config)
+            effective_config = _config_from_wire(config)
         elif client.workers is not None:
             effective_config = conn.config.with_overrides(
                 parallel_workers=client.workers
@@ -565,3 +566,18 @@ class ServerThread:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
+
+
+def _config_from_wire(config: Any) -> SkinnerConfig:
+    """Rebuild a submission's serialized :class:`SkinnerConfig`.
+
+    A field this server does not know (one an older or newer client still
+    sends) is an interface error naming the field, not a server crash.
+    """
+    if not isinstance(config, dict):
+        raise InterfaceError("submit config must be a JSON object")
+    known = {field.name for field in dataclasses.fields(SkinnerConfig)}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise InterfaceError(f"unknown config field(s): {', '.join(unknown)}")
+    return SkinnerConfig(**config)

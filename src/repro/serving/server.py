@@ -602,8 +602,7 @@ class QueryServer:
             return
         relation = RowIdRelation.from_index_tuples(task.stream_aliases, fresh)
         table = post_process(
-            session.query, relation, task.stream_tables, self._udfs, CostMeter(),
-            mode=session.config.postprocess_mode,
+            session.query, relation, task.stream_tables, self._udfs, CostMeter()
         )
         rows = self._table_rows(table)
         if session.limit_remaining is not None:

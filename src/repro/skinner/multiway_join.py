@@ -13,24 +13,20 @@ With equality join predicates, advancing an index "jumps" directly to the
 next tuple whose join column matches the value fixed by the preceding tables,
 using the hash maps built during pre-processing (paper §4.5, last paragraph).
 
-Two executors share these semantics:
+The executor is batched: it materializes the run of candidate row indices
+at a join-order position — the matching bucket of the pre-processing hash
+maps, or a bounded ``arange`` for scan positions — as an ``int64`` array of
+at most ``batch_size`` entries, applies the newly applicable predicates
+vectorized over the column arrays, and emits surviving combinations into the
+result set in bulk.  Suspension works mid-batch: the per-position batch
+cursors are recorded in the :class:`~repro.skinner.state.JoinState` so
+another join order can take over after any slice, and the tuple-index vector
+alone is always sufficient to rebuild the exact position.
 
-* the **scalar** executor advances one tuple index per loop iteration — the
-  literal transcription of Algorithm 2, kept as the ``batch_size=1``
-  reference for A/B comparisons;
-* the **batched** executor (``batch_size > 1``) materializes the full run of
-  candidate row indices at a join-order position — the matching bucket of the
-  pre-processing hash maps, or a bounded ``arange`` for scan positions — as
-  an ``int64`` array, applies the newly applicable predicates vectorized over
-  the column arrays, and emits surviving combinations into the result set in
-  bulk.  Suspension works mid-batch: the per-position batch cursors are
-  recorded in the :class:`~repro.skinner.state.JoinState` so another join
-  order can take over after any slice, and the tuple-index vector alone is
-  always sufficient to rebuild the exact position.
-
-Both executors enumerate candidate combinations in the same lexicographic
-sequence and evaluate the same predicates per candidate, so they produce
-identical result sets and identical suspend/resume states.
+It enumerates candidate combinations in the same lexicographic sequence, and
+evaluates the same predicates per candidate, as the literal one-index-per-
+iteration transcription of Algorithm 2 (``tests/oracles/scalar_join.py``),
+so both produce identical result sets and suspend/resume states.
 """
 
 from __future__ import annotations
@@ -41,6 +37,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.config import DEFAULT_CONFIG
 from repro.engine.meter import CostMeter
 from repro.engine.vectorized import NotVectorizable, broadcast, evaluate_value, vectorizable
 from repro.query.expressions import ColumnRef
@@ -53,9 +50,9 @@ from repro.storage.column import ColumnType
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-#: comparators for vectorized predicate plans.  The scalar path evaluates
-#: predicates through the same table (its lambdas broadcast over numpy
-#: arrays), so both executors inherit any operator change together.
+#: comparators for vectorized predicate plans.  ``Predicate.evaluate`` uses
+#: the same table (its lambdas broadcast over numpy arrays), so vectorized
+#: and row-at-a-time evaluation inherit any operator change together.
 _VECTOR_OPS = _COMPARATORS
 
 #: mirrored operator when the batch-position column is the right-hand side.
@@ -81,8 +78,7 @@ class _PredicatePlan:
     plans evaluate both sides of a UDF-free comparison over decoded column
     arrays (built-in arithmetic, literals, string columns as ``object``
     arrays) — the generic fallback, vectorized.  Only true UDF predicates
-    (and bare boolean expressions) remain row-at-a-time over the batch,
-    which matches the scalar executor's behavior exactly.
+    (and bare boolean expressions) remain row-at-a-time over the batch.
     """
 
     predicate: Predicate
@@ -99,12 +95,10 @@ class _PredicatePlan:
 
 @dataclass
 class _OrderContext:
-    """Per-join-order precomputation: applicable predicates and jump specs."""
+    """Per-join-order precomputation: predicate plans and jump specs."""
 
     order: tuple[str, ...]
     cardinalities: tuple[int, ...]
-    predicates_at: list[list[Predicate]] = field(default_factory=list)
-    predicate_aliases_at: list[list[tuple[str, ...]]] = field(default_factory=list)
     jump_at: list[_JumpSpec | None] = field(default_factory=list)
     plans_at: list[list[_PredicatePlan]] = field(default_factory=list)
     #: join-order position of each alias in canonical (declaration) order.
@@ -183,10 +177,10 @@ class MultiwayJoin:
     Parameters
     ----------
     batch_size:
-        Candidates examined per vectorized batch.  ``1`` selects the scalar
-        tuple-at-a-time executor; larger values amortize interpreter overhead
-        across NumPy operations.  Batches are clamped to the remaining slice
-        budget and to the meter's remaining work budget.
+        Candidates examined per vectorized batch; larger values amortize
+        interpreter overhead across NumPy operations.  Batches are clamped
+        to the remaining slice budget and to the meter's remaining work
+        budget.
     """
 
     def __init__(
@@ -195,7 +189,7 @@ class MultiwayJoin:
         udfs: UdfRegistry | None = None,
         *,
         use_hash_jump: bool = True,
-        batch_size: int = 1,
+        batch_size: int = DEFAULT_CONFIG.batch_size,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
@@ -223,8 +217,6 @@ class MultiwayJoin:
             seen.add(alias)
             newly = [p for p in remaining if p.tables() <= seen and alias in p.tables()]
             remaining = [p for p in remaining if p not in newly]
-            context.predicates_at.append(newly)
-            context.predicate_aliases_at.append([tuple(sorted(p.tables())) for p in newly])
             context.jump_at.append(self._jump_spec(order, position, newly))
             context.plans_at.append(
                 [self._plan_predicate(order, position, p) for p in newly]
@@ -330,62 +322,8 @@ class MultiwayJoin:
         Result tuples are added to ``result_set``; ``state`` is advanced in
         place so the caller can back it up.  The budget counts examined
         candidate tuples, so a batch of ``n`` candidates consumes ``n`` units
-        — batched and scalar execution drain a slice at the same rate.
+        — the same rate as advancing one tuple index per loop iteration.
         """
-        if self._batch_size == 1:
-            return self._continue_scalar(state, offsets, budget, result_set, meter)
-        return self._continue_batched(state, offsets, budget, result_set, meter)
-
-    def _continue_scalar(
-        self,
-        state: JoinState,
-        offsets: Mapping[str, int],
-        budget: int,
-        result_set: JoinResultSet,
-        meter: CostMeter,
-    ) -> bool:
-        context = self.context_for(state.order)
-        order = context.order
-        cardinalities = context.cardinalities
-        last = len(order) - 1
-        if any(c == 0 for c in cardinalities):
-            return True
-
-        # Resuming restarts the descent at depth 0, which costs up to one
-        # iteration per join-order position before any index advances; a
-        # budget below that would make no progress and never terminate.
-        budget = max(budget, len(order) + 1)
-        depth = 0
-        iterations = 0
-        while iterations < budget:
-            iterations += 1
-            meter.charge_scan(1)
-            if state.indices[depth] < cardinalities[depth] and self._satisfied(
-                context, depth, state, meter
-            ):
-                if depth == last:
-                    result_set.add(self._result_tuple(state))
-                    meter.charge_output(1)
-                    depth = self._next_tuple(context, state, offsets, depth)
-                else:
-                    depth += 1
-            else:
-                depth = self._next_tuple(context, state, offsets, depth)
-            if depth < 0:
-                return True
-        return False
-
-    # ------------------------------------------------------------------
-    # batched ContinueJoin
-    # ------------------------------------------------------------------
-    def _continue_batched(
-        self,
-        state: JoinState,
-        offsets: Mapping[str, int],
-        budget: int,
-        result_set: JoinResultSet,
-        meter: CostMeter,
-    ) -> bool:
         context = self.context_for(state.order)
         order = context.order
         cardinalities = context.cardinalities
@@ -481,8 +419,8 @@ class MultiwayJoin:
         clamped to new offsets, or freshly initialized) is rebuilt by
         descending along its index vector: a position whose index is a
         satisfied candidate keeps its deeper indices, the first unsatisfied
-        position becomes the resumption depth — exactly the scalar
-        executor's re-descent semantics.
+        position becomes the resumption depth — exactly Algorithm 2's
+        re-descent semantics.
         """
         order = context.order
         cardinalities = context.cardinalities
@@ -562,8 +500,8 @@ class MultiwayJoin:
         """Apply the newly applicable predicates at ``depth`` to a batch.
 
         Predicates are applied sequentially to the shrinking survivor array,
-        so the number of evaluations charged matches the scalar executor's
-        per-tuple short-circuiting.
+        so the number of evaluations charged matches per-tuple
+        short-circuiting.
         """
         plans = context.plans_at[depth]
         if not plans:
@@ -681,76 +619,3 @@ class MultiwayJoin:
                 matrix[:, column] = prepared.base_row(alias, state.indices[position])
         result_set.add_batch(matrix)
         meter.charge_output(rows)
-
-    # ------------------------------------------------------------------
-    # NextTuple with optional hash jump (scalar executor)
-    # ------------------------------------------------------------------
-    def _next_tuple(
-        self,
-        context: _OrderContext,
-        state: JoinState,
-        offsets: Mapping[str, int],
-        depth: int,
-    ) -> int:
-        order = context.order
-        cardinalities = context.cardinalities
-        while True:
-            if state.indices[depth] < cardinalities[depth]:
-                state.indices[depth] = self._advance_index(context, state, depth)
-            else:
-                state.indices[depth] = cardinalities[depth]
-            if state.indices[depth] < cardinalities[depth]:
-                return depth
-            state.indices[depth] = offsets.get(order[depth], 0)
-            depth -= 1
-            if depth < 0:
-                return -1
-
-    def _advance_index(self, context: _OrderContext, state: JoinState, depth: int) -> int:
-        spec = context.jump_at[depth]
-        current = state.indices[depth]
-        if spec is None:
-            return current + 1
-        prepared = self._prepared
-        earlier_index = state.indices[spec.earlier_position]
-        value = prepared.value_at(spec.earlier_alias, spec.earlier_column, earlier_index)
-        join_map = prepared.join_maps[(context.order[depth], spec.own_column)]
-        matches = join_map.get(value)
-        if matches is None:
-            return context.cardinalities[depth]
-        position = int(np.searchsorted(matches, current + 1, side="left"))
-        if position >= matches.shape[0]:
-            return context.cardinalities[depth]
-        return int(matches[position])
-
-    # ------------------------------------------------------------------
-    # predicate checking and result construction (scalar executor)
-    # ------------------------------------------------------------------
-    def _satisfied(
-        self, context: _OrderContext, depth: int, state: JoinState, meter: CostMeter
-    ) -> bool:
-        predicates = context.predicates_at[depth]
-        if not predicates:
-            return True
-        prepared = self._prepared
-        order = context.order
-        position_of = {alias: position for position, alias in enumerate(order[: depth + 1])}
-        for predicate, aliases in zip(predicates, context.predicate_aliases_at[depth]):
-            binding: dict[str, dict[str, Any]] = {}
-            for alias in aliases:
-                binding[alias] = prepared.binding_for(alias, state.indices[position_of[alias]])
-            meter.charge_predicate(1)
-            per_row = predicate.udf_cost(self._udfs) - 1
-            if per_row > 0:  # meter only actual (registered) UDF invocations
-                meter.charge_udf(per_row)
-            if not predicate.evaluate(binding, self._udfs):
-                return False
-        return True
-
-    def _result_tuple(self, state: JoinState) -> tuple[int, ...]:
-        prepared = self._prepared
-        position_of = {alias: position for position, alias in enumerate(state.order)}
-        return tuple(
-            prepared.base_row(alias, state.indices[position_of[alias]])
-            for alias in prepared.aliases
-        )

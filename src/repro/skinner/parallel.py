@@ -57,7 +57,7 @@ from repro.query.udf import UdfRegistry
 from repro.result import QueryMetrics, QueryResult
 from repro.skinner.preprocessor import preprocess
 from repro.skinner.result_set import JoinResultSet
-from repro.skinner.skinner_c import SkinnerCTask
+from repro.skinner.skinner_c import SkinnerCTask, task_metrics
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
@@ -476,8 +476,7 @@ class ParallelSkinnerCTask(EngineTask):
         """Post-process the assembled result and report merged metrics."""
         relation = self.result_set.to_relation()
         output = post_process(
-            self.query, relation, self.prepared.tables, self._udfs, self.join_meter,
-            mode=self._config.postprocess_mode,
+            self.query, relation, self.prepared.tables, self._udfs, self.join_meter
         )
         metrics = self._metrics(result_rows=output.num_rows, full=True)
         return QueryResult(output, metrics)
@@ -692,12 +691,6 @@ class ParallelSkinnerCTask(EngineTask):
     # metrics
     # ------------------------------------------------------------------
     def _metrics(self, *, result_rows: int, full: bool) -> QueryMetrics:
-        total_meter = CostMeter()
-        total_meter.merge(self.pre_meter)
-        total_meter.merge(self.join_meter)
-        simulated = self._profile.simulated_time(
-            self.pre_meter.snapshot(), threads=self._threads
-        ) + self._profile.simulated_time(self.join_meter.snapshot(), threads=1)
         tracker_nodes = (
             self._pilot.tracker.node_count() if self._pilot is not None
             else self._tracker_nodes
@@ -722,21 +715,8 @@ class ParallelSkinnerCTask(EngineTask):
                     "trace": [],
                 }
             )
-        return QueryMetrics(
-            engine=self._engine_name,
-            work=total_meter.snapshot(),
-            simulated_time=simulated,
-            wall_time_seconds=time.perf_counter() - self._started,
-            intermediate_cardinality=self.join_meter.tuples_scanned,
-            result_rows=result_rows,
-            final_join_order=(
-                self.tree.best_order() if self._order_selection == "uct" else None
-            ),
-            time_slices=self.slices,
-            uct_nodes=self.tree.node_count(),
-            tracker_nodes=tracker_nodes,
-            result_tuple_count=len(self.result_set),
-            extra=extra,
+        return task_metrics(
+            self, result_rows=result_rows, tracker_nodes=tracker_nodes, extra=extra
         )
 
 

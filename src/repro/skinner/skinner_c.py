@@ -16,7 +16,7 @@ import random
 import time
 import warnings
 from collections.abc import Mapping, Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -37,6 +37,9 @@ from repro.skinner.reward import reward_function
 from repro.skinner.state import JoinState
 from repro.storage.catalog import Catalog
 from repro.uct.tree import UctJoinTree
+
+if TYPE_CHECKING:
+    from repro.skinner.parallel import ParallelSkinnerCTask
 
 _MAX_SLICES = 5_000_000
 
@@ -214,29 +217,12 @@ class SkinnerCTask(EngineTask):
         """Post-process the join result and assemble metrics."""
         relation = self.result_set.to_relation()
         output = post_process(
-            self.query, relation, self.prepared.tables, self._udfs, self.join_meter,
-            mode=self._config.postprocess_mode,
+            self.query, relation, self.prepared.tables, self._udfs, self.join_meter
         )
-        total_meter = CostMeter()
-        total_meter.merge(self.pre_meter)
-        total_meter.merge(self.join_meter)
-        simulated = self._profile.simulated_time(
-            self.pre_meter.snapshot(), threads=self._threads
-        ) + self._profile.simulated_time(self.join_meter.snapshot(), threads=1)
-        metrics = QueryMetrics(
-            engine=self._engine_name,
-            work=total_meter.snapshot(),
-            simulated_time=simulated,
-            wall_time_seconds=time.perf_counter() - self._started,
-            intermediate_cardinality=self.join_meter.tuples_scanned,
+        metrics = task_metrics(
+            self,
             result_rows=output.num_rows,
-            final_join_order=(
-                self.tree.best_order() if self._order_selection == "uct" else None
-            ),
-            time_slices=self.slices,
-            uct_nodes=self.tree.node_count(),
             tracker_nodes=self.tracker.node_count(),
-            result_tuple_count=len(self.result_set),
             extra={
                 "result_bytes": self.result_set.estimated_bytes(),
                 "tracker_bytes": self.tracker.estimated_bytes(),
@@ -258,31 +244,53 @@ class SkinnerCTask(EngineTask):
         episode prefix cost, which is by construction no more than a full
         run of the same query.
         """
-        total_meter = CostMeter()
-        total_meter.merge(self.pre_meter)
-        total_meter.merge(self.join_meter)
-        simulated = self._profile.simulated_time(
-            self.pre_meter.snapshot(), threads=self._threads
-        ) + self._profile.simulated_time(self.join_meter.snapshot(), threads=1)
-        return QueryMetrics(
-            engine=self._engine_name,
-            work=total_meter.snapshot(),
-            simulated_time=simulated,
-            wall_time_seconds=time.perf_counter() - self._started,
-            intermediate_cardinality=self.join_meter.tuples_scanned,
+        return task_metrics(
+            self,
             result_rows=result_rows,
-            final_join_order=(
-                self.tree.best_order() if self._order_selection == "uct" else None
-            ),
-            time_slices=self.slices,
-            uct_nodes=self.tree.node_count(),
             tracker_nodes=self.tracker.node_count(),
-            result_tuple_count=len(self.result_set),
             extra={
                 "threads": self._threads,
                 "episode_wall_seconds": self.episode_wall_seconds,
             },
         )
+
+
+def task_metrics(
+    task: SkinnerCTask | ParallelSkinnerCTask,
+    *,
+    result_rows: int,
+    tracker_nodes: int,
+    extra: dict[str, Any],
+) -> QueryMetrics:
+    """Assemble the :class:`QueryMetrics` of a Skinner-C task.
+
+    Shared by the single-process task and the morsel-parallel coordinator:
+    both keep a pre-processing and a join-phase meter, and pre-processing
+    is the only phase that parallelizes across the modelled ``threads``.
+    """
+    total_meter = CostMeter()
+    total_meter.merge(task.pre_meter)
+    total_meter.merge(task.join_meter)
+    profile = task._profile
+    simulated = profile.simulated_time(
+        task.pre_meter.snapshot(), threads=task._threads
+    ) + profile.simulated_time(task.join_meter.snapshot(), threads=1)
+    return QueryMetrics(
+        engine=task._engine_name,
+        work=total_meter.snapshot(),
+        simulated_time=simulated,
+        wall_time_seconds=time.perf_counter() - task._started,
+        intermediate_cardinality=task.join_meter.tuples_scanned,
+        result_rows=result_rows,
+        final_join_order=(
+            task.tree.best_order() if task._order_selection == "uct" else None
+        ),
+        time_slices=task.slices,
+        uct_nodes=task.tree.node_count(),
+        tracker_nodes=tracker_nodes,
+        result_tuple_count=len(task.result_set),
+        extra=extra,
+    )
 
 
 class SkinnerC(ExecutionBackend):
@@ -435,8 +443,7 @@ class SkinnerC(ExecutionBackend):
                     state, offsets, self._config.slice_budget, result_set, meter
                 )
         relation = result_set.to_relation()
-        output = post_process(query, relation, prepared.tables, self._udfs, meter,
-                              mode=self._config.postprocess_mode)
+        output = post_process(query, relation, prepared.tables, self._udfs, meter)
         work = meter.snapshot()
         metrics = QueryMetrics(
             engine=f"{self.name}(forced)",

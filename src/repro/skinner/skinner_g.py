@@ -77,7 +77,7 @@ class InternalGenericEngine(GenericEngine):
     ) -> None:
         self._query = query
         self._aliases = tuple(query.aliases)
-        self._executor = PlanExecutor(catalog, query, udfs, join_mode=config.join_mode)
+        self._executor = PlanExecutor(catalog, query, udfs)
 
     @property
     def tables(self) -> Mapping[str, Table]:
@@ -353,8 +353,7 @@ class SkinnerG(ExecutionBackend):
     ) -> QueryResult:
         relation = run.result_set.to_relation()
         assert run.engine is not None
-        output = post_process(query, relation, run.engine.tables, self._udfs, run.meter,
-                              mode=self._config.postprocess_mode)
+        output = post_process(query, relation, run.engine.tables, self._udfs, run.meter)
         total = CostMeter()
         total.merge(run.meter)
         if extra_work is not None:

@@ -15,8 +15,8 @@ Every engine in the repository reads base-table columns through
   copies.
 
 The execution layers never see the difference: rows and meter charges are
-byte-identical across backends (property-tested like ``join_mode`` and
-``batch_size`` before them), which is what makes the substrate swappable
+byte-identical across backends (property-tested like the vectorized join
+kernels against their oracles), which is what makes the substrate swappable
 without the engines noticing.
 """
 

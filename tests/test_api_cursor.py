@@ -2,7 +2,7 @@
 
 The property tests check the acceptance criteria of the API redesign: rows
 obtained through ``fetchmany``-streaming, ``fetchall``, ``db.execute``, and
-``db.execute_direct`` are byte-identical on randomized queries across all
+``conn.execute_direct`` are byte-identical on randomized queries across all
 registered engines — including under concurrent cursor interleaving and
 mid-stream ``Cursor.close()`` (which must not leak admission slots) — and
 streamed queries are charged exactly like unstreamed ones.
@@ -375,7 +375,7 @@ def _random_query(rng: random.Random) -> str:
 
 class TestPropertyByteIdentical:
     """Property: fetchmany-streamed rows, fetchall, db.execute, and
-    db.execute_direct agree on randomized queries across all registered
+    conn.execute_direct agree on randomized queries across all registered
     engines (same rows, same meter charges)."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -746,15 +746,3 @@ class TestPep249Errors:
         with pytest.raises(InterfaceError, match="no query has been executed"):
             cursor.fetchall()
 
-
-class TestExecuteDirectDeprecation:
-    def test_facade_execute_direct_warns_and_still_works(self):
-        import warnings
-        db = SkinnerDB(config=FAST)
-        db.create_table("r", {"id": [1, 2], "a": [10, 20]})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = db.execute_direct("SELECT COUNT(*) AS n FROM r")
-        assert result.rows == [{"n": 2}]
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert any("cursor.execute" in str(w.message) for w in caught)

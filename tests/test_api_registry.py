@@ -96,7 +96,7 @@ class TestUnknownEngineError:
     def test_same_message_on_both_paths(self, db):
         served = self._message(lambda: db.execute("SELECT r.x FROM r", engine="sqlite"))
         direct = self._message(
-            lambda: db.execute_direct("SELECT r.x FROM r", engine="sqlite")
+            lambda: db.connection.execute_direct("SELECT r.x FROM r", engine="sqlite")
         )
         assert served == direct
         assert "unknown engine 'sqlite'" in served
@@ -112,7 +112,7 @@ class TestUnknownEngineError:
             lambda: db.cursor().execute("SELECT r.x FROM r", engine="sqlite")
         )
         direct = self._message(
-            lambda: db.execute_direct("SELECT r.x FROM r", engine="sqlite")
+            lambda: db.connection.execute_direct("SELECT r.x FROM r", engine="sqlite")
         )
         assert submit == cursor == direct
 
@@ -128,7 +128,7 @@ class TestCustomEngine:
         assert result.metrics.engine == "toy"
 
     def test_toy_engine_via_execute_direct(self, db, toy_registered):
-        result = db.execute_direct("SELECT r.x FROM r", engine="toy")
+        result = db.connection.execute_direct("SELECT r.x FROM r", engine="toy")
         assert result.rows == [{"answer": 42}]
 
     def test_toy_engine_via_cursor(self, toy_registered):
@@ -161,7 +161,7 @@ class TestForcedOrderCapability:
     def test_forced_order_rejected_without_capability(self, db):
         for call in (
             lambda: db.execute("SELECT r.x FROM r", engine="eddy", forced_order=("r",)),
-            lambda: db.execute_direct(
+            lambda: db.connection.execute_direct(
                 "SELECT r.x FROM r", engine="eddy", forced_order=("r",)
             ),
         ):

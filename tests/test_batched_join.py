@@ -1,9 +1,10 @@
-"""Equivalence of the batched and scalar multi-way join executors.
+"""Equivalence of the batched multi-way join and the scalar oracle.
 
-The batched executor (``batch_size > 1``) must be observationally identical
-to the scalar reference (``batch_size = 1``): same result sets, same final
-states, and the same results under arbitrary suspend/resume slicing — that
-is what keeps the regret-bounded learning loop untouched by vectorization.
+The batched executor must be observationally identical to the tuple-at-a-
+time transcription of Algorithm 2 in ``tests/oracles/scalar_join.py``, at
+every batch size including ``1``: same result sets, same final states, and
+the same results under arbitrary suspend/resume slicing — that is what keeps
+the regret-bounded learning loop untouched by vectorization.
 The random inputs are built from the deterministic generator helpers in
 ``repro.workloads.generators`` (Zipfian join keys, correlated columns).
 """
@@ -29,6 +30,7 @@ from repro.skinner.multiway_join import MultiwayJoin
 from repro.skinner.preprocessor import preprocess
 from repro.skinner.result_set import JoinResultSet
 from repro.skinner.state import initial_state
+from repro.skinner import skinner_c
 from repro.skinner.skinner_c import SkinnerC
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
@@ -40,6 +42,10 @@ from repro.workloads.generators import (
     zipf_keys,
 )
 from tests.conftest import reference_join_tuples, result_multiset
+from tests.oracles.scalar_join import ScalarJoin
+
+#: ``batch_size`` stand-in that selects the scalar oracle in :func:`run_sliced`.
+SCALAR = None
 
 
 def random_catalog_and_query(seed: int, *, num_tables: int, rows: int):
@@ -77,7 +83,10 @@ def random_catalog_and_query(seed: int, *, num_tables: int, rows: int):
 def run_sliced(prepared, order, batch_size, budget, udfs=None, *, offsets=None,
                advance_offsets=False):
     """Drive ContinueJoin in budget slices until completion."""
-    join = MultiwayJoin(prepared, udfs, batch_size=batch_size)
+    if batch_size is SCALAR:
+        join = ScalarJoin(prepared, udfs)
+    else:
+        join = MultiwayJoin(prepared, udfs, batch_size=batch_size)
     offsets = offsets if offsets is not None else {alias: 0 for alias in prepared.aliases}
     state = initial_state(order, offsets)
     results = JoinResultSet(prepared.aliases)
@@ -109,11 +118,12 @@ def test_batched_equals_scalar_results_and_states(seed, num_tables, budget):
     prepared = preprocess(catalog, query)
     orders = query.join_graph().valid_join_orders()
     order = orders[seed % len(orders)]
-    scalar_results, scalar_state, _, _ = run_sliced(prepared, order, 1, budget)
-    batched_results, batched_state, _, _ = run_sliced(prepared, order, 1024, budget)
-    assert set(batched_results.tuples()) == set(scalar_results.tuples())
-    assert batched_state.as_tuple() == scalar_state.as_tuple()
-    assert batched_state.batch_cursors is None, "finished states carry no cursors"
+    scalar_results, scalar_state, _, _ = run_sliced(prepared, order, SCALAR, budget)
+    for batch_size in (1, 1024):
+        batched_results, batched_state, _, _ = run_sliced(prepared, order, batch_size, budget)
+        assert set(batched_results.tuples()) == set(scalar_results.tuples())
+        assert batched_state.as_tuple() == scalar_state.as_tuple()
+        assert batched_state.batch_cursors is None, "finished states carry no cursors"
 
 
 @settings(max_examples=15, deadline=None,
@@ -204,7 +214,7 @@ def test_batched_udf_predicates_match_scalar(tiny_catalog):
     )
     prepared = preprocess(tiny_catalog, query, udfs)
     for budget in (2, 9, 10_000):
-        scalar, s_state, _, _ = run_sliced(prepared, ("c", "o"), 1, budget, udfs)
+        scalar, s_state, _, _ = run_sliced(prepared, ("c", "o"), SCALAR, budget, udfs)
         batched, b_state, _, _ = run_sliced(prepared, ("c", "o"), 64, budget, udfs)
         assert set(batched.tuples()) == set(scalar.tuples())
         assert b_state.as_tuple() == s_state.as_tuple()
@@ -230,18 +240,19 @@ def test_suspended_state_records_batch_cursors(tiny_catalog, tiny_join_query):
     assert set(results.tuples()) == reference_join_tuples(tiny_catalog, tiny_join_query)
 
 
-def test_skinner_c_engine_identical_across_batch_sizes(tiny_catalog, tiny_join_query):
-    """End-to-end: the engine returns the same relation for any batch size."""
-    reference = None
+def test_skinner_c_engine_identical_across_batch_sizes(
+    tiny_catalog, tiny_join_query, monkeypatch
+):
+    """End-to-end: every batch size returns the scalar oracle's relation."""
+    with monkeypatch.context() as patch:
+        patch.setattr(skinner_c, "MultiwayJoin", ScalarJoin)
+        config = SkinnerConfig(slice_budget=32)
+        reference = result_multiset(SkinnerC(tiny_catalog, config=config).execute(tiny_join_query))
     for batch_size in (1, 2, 64, 1024):
         config = SkinnerConfig(slice_budget=32, batch_size=batch_size)
         engine = SkinnerC(tiny_catalog, config=config)
         result = engine.execute(tiny_join_query)
-        rows = result_multiset(result)
-        if reference is None:
-            reference = rows
-        else:
-            assert rows == reference, f"batch_size {batch_size} changed the result"
+        assert result_multiset(result) == reference, f"batch_size {batch_size} changed the result"
 
 
 def test_invalid_batch_size_rejected(tiny_catalog, tiny_join_query):

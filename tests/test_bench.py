@@ -135,7 +135,7 @@ class TestExperimentDrivers:
 
         expected = ({f"table{i}" for i in range(1, 8)}
                     | {f"figure{i}" for i in range(6, 14)}
-                    | {"postprocess_pipeline", "hashjoin_kernel",
+                    | {"postprocess_pipeline",
                        "concurrent_serving", "streaming_cursor",
                        "multitenant_server", "cold_vs_warm_start",
                        "external_sqlite", "docstore_axes"})

@@ -104,7 +104,7 @@ class TestServingLayerRouting:
     def test_direct_path_matches_server_path_per_engine(self, db):
         for engine in ENGINE_NAMES:
             served = db.execute(self.JOIN_SQL, engine=engine, use_result_cache=False)
-            direct = db.execute_direct(self.JOIN_SQL, engine=engine)
+            direct = db.connection.execute_direct(self.JOIN_SQL, engine=engine)
             assert served.rows == direct.rows, engine
             assert served.metrics.work == direct.metrics.work, engine
 

@@ -1,15 +1,17 @@
-"""Equivalence of the vectorized hash-join kernel and the dict-based path.
+"""Equivalence of the vectorized hash-join kernel and the dict-based oracle.
 
-The plan executor's vectorized hash join (``join_mode="vectorized"``) must be
-observationally identical to the dict-based reference (``join_mode="rows"``):
-byte-identical ``RowIdRelation``s — same rows in the same order — and
-identical meter charges, over composite keys, duplicate keys, empty build or
-probe sides, cross-dictionary string keys, NaN float keys, and residual
-predicates.  That is what makes the baseline comparisons of Tables 1–6
-implementation-independent.
+The plan executor's vectorized hash join must be observationally identical
+to the dict-based reference of ``tests/oracles/rows_hash_join.py`` (swapped
+in for the kernel by monkeypatching): byte-identical ``RowIdRelation``s —
+same rows in the same order — and identical meter charges, over composite
+keys, duplicate keys, empty build or probe sides, cross-dictionary string
+keys, NaN float keys, and residual predicates.  That is what makes the
+baseline comparisons of Tables 1–6 implementation-independent.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -39,8 +41,15 @@ from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.table import Table
 from repro.workloads.generators import choice_strings, make_rng, uniform_keys, zipf_keys
+from tests.oracles.rows_hash_join import rows_hash_join_swapped
 
+#: The two hash-join implementations: the dict-based oracle and the kernel.
 JOIN_MODES = ("rows", "vectorized")
+
+
+def join_mode(mode):
+    """Context in which ``hash_join_step`` runs the given implementation."""
+    return rows_hash_join_swapped() if mode == "rows" else contextlib.nullcontext()
 
 
 def random_catalog_and_query(seed: int, *, num_tables: int, rows: int):
@@ -87,14 +96,15 @@ def random_catalog_and_query(seed: int, *, num_tables: int, rows: int):
 
 
 def run_order(catalog, query, order, mode):
-    executor = PlanExecutor(catalog, query, join_mode=mode)
-    meter = CostMeter()
-    relation = executor.execute_order(list(order), meter)
+    with join_mode(mode):
+        executor = PlanExecutor(catalog, query)
+        meter = CostMeter()
+        relation = executor.execute_order(list(order), meter)
     return relation, meter.snapshot()
 
 
 def assert_identical(catalog, query, order):
-    """Both modes: byte-identical relations and identical meter charges."""
+    """Kernel vs oracle: byte-identical relations and identical meter charges."""
     reference, reference_work = run_order(catalog, query, order, "rows")
     vectorized, vectorized_work = run_order(catalog, query, order, "vectorized")
     assert vectorized.aliases == reference.aliases
@@ -118,13 +128,14 @@ def test_vectorized_equals_rows_relations_and_meters(seed, num_tables):
 
 
 class TestHashJoinStep:
-    """Direct unit tests of both hash_join_step modes."""
+    """Direct unit tests of hash_join_step on the kernel and the oracle."""
 
     @staticmethod
     def _join(mode, prefix, table, positions, equi, residual, tables):
         meter = CostMeter()
-        joined = hash_join_step(prefix, "b", table, positions, equi, residual,
-                                tables, meter, mode=mode)
+        with join_mode(mode):
+            joined = hash_join_step(prefix, "b", table, positions, equi, residual,
+                                    tables, meter)
         return joined, meter.snapshot()
 
     @staticmethod
@@ -237,9 +248,10 @@ class TestHashJoinStep:
         prefix = RowIdRelation.from_base("a", np.arange(a.num_rows))
         for mode in JOIN_MODES:
             meter = CostMeter()
-            hash_join_step(prefix, "b", b, np.arange(b.num_rows),
-                           [column_equals_column("a", "x", "b", "x")], [], tables,
-                           meter, mode=mode)
+            with join_mode(mode):
+                hash_join_step(prefix, "b", b, np.arange(b.num_rows),
+                               [column_equals_column("a", "x", "b", "x")], [], tables,
+                               meter)
             assert meter.tuples_scanned == b.num_rows, mode
             assert meter.hash_probes == len(prefix), mode
 
@@ -258,10 +270,10 @@ class TestHashJoinStep:
         totals = {}
         for mode in JOIN_MODES:
             meter = CostMeter(budget=n + n + 25)  # aborts mid-intermediate
-            with pytest.raises(BudgetExceeded):
+            with join_mode(mode), pytest.raises(BudgetExceeded):
                 hash_join_step(prefix, "b", b, np.arange(b.num_rows),
                                [column_equals_column("a", "x", "b", "x")], [], tables,
-                               meter, mode=mode)
+                               meter)
             totals[mode] = meter.snapshot()
         assert totals["vectorized"] == totals["rows"]
 
@@ -275,21 +287,14 @@ class TestHashJoinStep:
             for mode in JOIN_MODES:
                 meter = CostMeter(budget=budget)
                 try:
-                    hash_join_step(prefix, "b", b, np.arange(b.num_rows),
-                                   [column_equals_column("a", "x", "b", "x")], [], tables,
-                                   meter, mode=mode)
+                    with join_mode(mode):
+                        hash_join_step(prefix, "b", b, np.arange(b.num_rows),
+                                       [column_equals_column("a", "x", "b", "x")], [],
+                                       tables, meter)
                 except BudgetExceeded:
                     pass
                 totals[mode] = meter.snapshot()
             assert totals["vectorized"] == totals["rows"], f"budget {budget}"
-
-    def test_invalid_mode_rejected(self):
-        a, b, tables = self._tables({"x": [1]}, {"x": [1]})
-        prefix = RowIdRelation.from_base("a", np.arange(a.num_rows))
-        with pytest.raises(ValueError):
-            hash_join_step(prefix, "b", b, np.arange(b.num_rows),
-                           [column_equals_column("a", "x", "b", "x")], [], tables,
-                           CostMeter(), mode="bogus")
 
 
 class TestKernelPrimitives:
@@ -353,9 +358,7 @@ class TestKernelPrimitives:
 
 
 class TestJoinModeThreading:
-    def test_executor_validates_mode(self, tiny_catalog, tiny_join_query):
-        with pytest.raises(ValueError):
-            PlanExecutor(tiny_catalog, tiny_join_query, join_mode="columnar")
+    """Every hash_join_step caller returns the same rows on the oracle."""
 
     def test_executor_modes_identical(self, tiny_catalog, tiny_join_query):
         for order in tiny_join_query.join_graph().valid_join_orders():
@@ -366,29 +369,25 @@ class TestJoinModeThreading:
         from repro.baselines.reoptimizer import ReOptimizerEngine
         from repro.baselines.traditional import TraditionalEngine
 
-        for factory in (
-            lambda mode: TraditionalEngine(tiny_catalog, join_mode=mode),
-            lambda mode: ReOptimizerEngine(tiny_catalog, join_mode=mode),
-            lambda mode: EddyEngine(tiny_catalog, join_mode=mode),
-        ):
+        for engine_class in (TraditionalEngine, ReOptimizerEngine, EddyEngine):
             results = {}
             for mode in JOIN_MODES:
-                result = factory(mode).execute(tiny_join_query)
+                with join_mode(mode):
+                    result = engine_class(tiny_catalog).execute(tiny_join_query)
                 table = result.table
                 results[mode] = [
                     tuple(row[name] for name in table.column_names) for row in table.rows()
                 ]
             assert results["vectorized"] == results["rows"]
-            with pytest.raises(ValueError):
-                factory("bogus")
 
     def test_skinner_g_honors_config_join_mode(self, tiny_catalog, tiny_join_query):
         from repro.skinner.skinner_g import SkinnerG
 
         reference = None
+        config = SkinnerConfig(base_timeout=200, batches_per_table=3)
         for mode in JOIN_MODES:
-            config = SkinnerConfig(base_timeout=200, batches_per_table=3, join_mode=mode)
-            result = SkinnerG(tiny_catalog, config=config).execute(tiny_join_query)
+            with join_mode(mode):
+                result = SkinnerG(tiny_catalog, config=config).execute(tiny_join_query)
             rows = sorted(map(repr, result.table.rows()))
             if reference is None:
                 reference = rows

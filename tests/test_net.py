@@ -20,7 +20,7 @@ import pytest
 
 from repro import InterfaceError, ReproError, SkinnerConfig, connect
 from repro.errors import OperationalError, ParseError
-from repro.net.client import DEFAULT_PORT, RemoteTransport, parse_dsn
+from repro.net.client import DEFAULT_PORT, RemoteTransport, SocketChannel, parse_dsn
 from repro.net.server import ServerThread
 
 #: Mirrors the FAST config of test_api_cursor.py: quick convergence, no
@@ -176,6 +176,22 @@ class TestRemoteBasics:
 
 
 class TestErrorMapping:
+    def test_unknown_config_field_is_a_typed_interface_error(self, server):
+        # A raw submit frame, as an older client would send it: its config
+        # still carries a field this server no longer has.
+        host, port = parse_dsn(server.dsn)[:2]
+        channel = SocketChannel(host, port)
+        try:
+            with pytest.raises(InterfaceError, match="join_mode"):
+                channel.request("submit", sql="SELECT r.id FROM r",
+                                config={"join_mode": "rows"})
+            with pytest.raises(InterfaceError, match="JSON object"):
+                channel.request("submit", sql="SELECT r.id FROM r", config=["rows"])
+            # The connection survives the rejected submission.
+            assert "ticket" in channel.request("submit", sql="SELECT r.id FROM r")
+        finally:
+            channel.close()
+
     def test_parse_error_crosses_the_wire_with_position(self, remote):
         cursor = remote.cursor()
         with pytest.raises(ParseError) as excinfo:

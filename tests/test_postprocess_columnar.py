@@ -1,7 +1,7 @@
 """Differential tests: columnar post-processing == row post-processing.
 
-The columnar pipeline (``postprocess_mode="columnar"``) must be
-observationally identical to the row reference pipeline on every query shape
+The columnar pipeline that ``post_process`` runs must be observationally
+identical to the row pipeline (``_post_process_rows``) on every query shape
 it claims to support: projections (plain and computed), every aggregate
 function, GROUP BY, DISTINCT, ORDER BY (ascending and ``_Reversed``
 descending keys, output aliases and source expressions), and LIMIT —
@@ -12,14 +12,17 @@ construction; a test pins that down too.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SkinnerConfig
+from repro.engine import postprocess
 from repro.engine.meter import CostMeter
-from repro.engine.postprocess import post_process
+from repro.engine.postprocess import _post_process_rows, post_process
 from repro.engine.relation import RowIdRelation
 from repro.errors import ExecutionError
 from repro.query.expressions import ColumnRef, FunctionCall, Literal, Star
@@ -32,8 +35,17 @@ from repro.skinner.result_set import JoinResultSet
 from repro.skinner.skinner_c import SkinnerC
 from repro.skinner.state import initial_state
 from repro.storage.table import Table
+from tests.oracles.scalar_join import ScalarJoin
 
 REGIONS = ["north", "south", "east", "west"]
+
+
+@contextlib.contextmanager
+def row_pipeline_only():
+    """``post_process`` treats every query as non-columnar, in every engine."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(postprocess, "_columnar_supported", lambda query: False)
+        yield
 
 
 def assert_tables_identical(expected: Table, actual: Table) -> None:
@@ -135,14 +147,14 @@ def test_columnar_matches_row_pipeline(case):
     table, relation, query = case
     tables = {"t": table}
     try:
-        expected = post_process(query, relation, tables, mode="rows")
+        expected = _post_process_rows(query, relation, tables, None)
     except ExecutionError:
         # e.g. ORDER BY unresolvable against the empty-aggregate default row:
         # the columnar pipeline must reject the query the same way.
         with pytest.raises(ExecutionError):
-            post_process(query, relation, tables, mode="columnar")
+            post_process(query, relation, tables)
         return
-    actual = post_process(query, relation, tables, mode="columnar")
+    actual = post_process(query, relation, tables)
     assert_tables_identical(expected, actual)
 
 
@@ -152,12 +164,13 @@ def test_columnar_matches_row_pipeline(case):
 def test_both_modes_charge_identical_output_work(case):
     table, relation, query = case
     meters = {}
-    for mode in ("rows", "columnar"):
+    for mode, pipelines in (("rows", row_pipeline_only), ("columnar", contextlib.nullcontext)):
         meters[mode] = CostMeter()
         try:
-            post_process(query, relation, {"t": table}, None, meters[mode], mode=mode)
+            with pipelines():
+                post_process(query, relation, {"t": table}, None, meters[mode])
         except ExecutionError:
-            pass  # both modes raise for the same queries (see test above)
+            pass  # both pipelines raise for the same queries (see test above)
     assert meters["rows"].snapshot() == meters["columnar"].snapshot()
 
 
@@ -175,8 +188,8 @@ def sales() -> tuple[Table, RowIdRelation]:
 
 
 def run_both(query, relation, tables):
-    expected = post_process(query, relation, tables, mode="rows")
-    actual = post_process(query, relation, tables, mode="columnar")
+    expected = _post_process_rows(query, relation, tables, None)
+    actual = post_process(query, relation, tables)
     assert_tables_identical(expected, actual)
     return actual
 
@@ -232,15 +245,10 @@ def test_unresolvable_order_by_raises_in_both_modes(sales):
         select_items=[SelectItem(expression=ColumnRef("s", "amount"), alias="amount")],
         order_by=[OrderItem(ColumnRef("s", "no_such_column"))],
     )
-    for mode in ("rows", "columnar"):
-        with pytest.raises(ExecutionError):
-            post_process(query, relation, {"s": table}, mode=mode)
-
-
-def test_unknown_mode_rejected(sales):
-    table, relation = sales
     with pytest.raises(ExecutionError):
-        post_process(make_query([("s", "sales")]), relation, {"s": table}, mode="simd")
+        _post_process_rows(query, relation, {"s": table}, None)
+    with pytest.raises(ExecutionError):
+        post_process(query, relation, {"s": table})
 
 
 def test_udf_select_items_fall_back_to_row_pipeline(sales):
@@ -254,8 +262,8 @@ def test_udf_select_items_fall_back_to_row_pipeline(sales):
                                  alias="doubled")],
         order_by=[OrderItem(ColumnRef("s", "doubled"), ascending=False)],
     )
-    expected = post_process(query, relation, {"s": table}, udfs, mode="rows")
-    actual = post_process(query, relation, {"s": table}, udfs, mode="columnar")
+    expected = _post_process_rows(query, relation, {"s": table}, udfs)
+    actual = post_process(query, relation, {"s": table}, udfs)
     assert_tables_identical(expected, actual)
     assert actual.column("doubled").values()[0] == 120
 
@@ -276,10 +284,10 @@ def test_skinner_c_results_identical_across_postprocess_modes(tiny_catalog):
         group_by=[ColumnRef("c", "country")],
         order_by=[OrderItem(ColumnRef("c", "total"), ascending=False)],
     )
-    results = {}
-    for mode in ("rows", "columnar"):
-        config = SkinnerConfig(slice_budget=32, postprocess_mode=mode)
-        results[mode] = SkinnerC(tiny_catalog, config=config).execute(query)
+    config = SkinnerConfig(slice_budget=32)
+    with row_pipeline_only():
+        results = {"rows": SkinnerC(tiny_catalog, config=config).execute(query)}
+    results["columnar"] = SkinnerC(tiny_catalog, config=config).execute(query)
     assert_tables_identical(results["rows"].table, results["columnar"].table)
     assert results["columnar"].table.column("total").values() == [640, 470]
     assert results["columnar"].table.column("country").values() == ["de", "us"]
@@ -300,9 +308,10 @@ def test_baseline_engines_honor_postprocess_mode(tiny_catalog):
         group_by=[ColumnRef("c", "country")],
         order_by=[OrderItem(ColumnRef("c", "country"))],
     )
-    for factory in (lambda mode: TraditionalEngine(tiny_catalog, postprocess_mode=mode),
-                    lambda mode: EddyEngine(tiny_catalog, postprocess_mode=mode)):
-        results = {mode: factory(mode).execute(query) for mode in ("rows", "columnar")}
+    for engine_class in (TraditionalEngine, EddyEngine):
+        with row_pipeline_only():
+            results = {"rows": engine_class(tiny_catalog).execute(query)}
+        results["columnar"] = engine_class(tiny_catalog).execute(query)
         assert_tables_identical(results["rows"].table, results["columnar"].table)
         assert results["columnar"].table.column("biggest").values() == [500, 250]
 
@@ -320,8 +329,8 @@ def test_result_set_matrix_matches_sorted_tuples():
 # ----------------------------------------------------------------------
 # generic-predicate metering: only true UDF invocations hit charge_udf
 # ----------------------------------------------------------------------
-def _run_join(prepared, order, batch_size, udfs=None):
-    join = MultiwayJoin(prepared, udfs, batch_size=batch_size)
+def _run_join(prepared, order, join_class, udfs=None):
+    join = join_class(prepared, udfs)
     offsets = {alias: 0 for alias in prepared.aliases}
     state = initial_state(order, offsets)
     results = JoinResultSet(prepared.aliases)
@@ -344,8 +353,8 @@ def test_non_udf_generic_predicates_charge_no_udf_work(tiny_catalog):
         ],
     )
     prepared = preprocess(tiny_catalog, query)
-    scalar_results, scalar_meter = _run_join(prepared, ("c", "o"), 1)
-    batched_results, batched_meter = _run_join(prepared, ("c", "o"), 64)
+    scalar_results, scalar_meter = _run_join(prepared, ("c", "o"), ScalarJoin)
+    batched_results, batched_meter = _run_join(prepared, ("c", "o"), MultiwayJoin)
     assert set(batched_results.tuples()) == set(scalar_results.tuples())
     assert len(scalar_results) > 0
     assert scalar_meter.udf_invocations == 0
@@ -364,7 +373,7 @@ def test_udf_predicates_charge_identically_in_both_executors(tiny_catalog):
         ],
     )
     prepared = preprocess(tiny_catalog, query, udfs)
-    scalar_results, scalar_meter = _run_join(prepared, ("c", "o"), 1, udfs)
-    batched_results, batched_meter = _run_join(prepared, ("c", "o"), 64, udfs)
+    scalar_results, scalar_meter = _run_join(prepared, ("c", "o"), ScalarJoin, udfs)
+    batched_results, batched_meter = _run_join(prepared, ("c", "o"), MultiwayJoin, udfs)
     assert set(batched_results.tuples()) == set(scalar_results.tuples())
     assert scalar_meter.udf_invocations == batched_meter.udf_invocations > 0
