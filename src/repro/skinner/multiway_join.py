@@ -13,20 +13,36 @@ With equality join predicates, advancing an index "jumps" directly to the
 next tuple whose join column matches the value fixed by the preceding tables,
 using the hash maps built during pre-processing (paper §4.5, last paragraph).
 
-The executor is batched: it materializes the run of candidate row indices
-at a join-order position — the matching bucket of the pre-processing hash
-maps, or a bounded ``arange`` for scan positions — as an ``int64`` array of
-at most ``batch_size`` entries, applies the newly applicable predicates
-vectorized over the column arrays, and emits surviving combinations into the
-result set in bulk.  Suspension works mid-batch: the per-position batch
-cursors are recorded in the :class:`~repro.skinner.state.JoinState` so
-another join order can take over after any slice, and the tuple-index vector
-alone is always sufficient to rebuild the exact position.
+The executor has two paths over the same enumeration:
 
-It enumerates candidate combinations in the same lexicographic sequence, and
-evaluates the same predicates per candidate, as the literal one-index-per-
-iteration transcription of Algorithm 2 (``tests/oracles/scalar_join.py``),
-so both produce identical result sets and suspend/resume states.
+* **The frame loop.**  One :class:`_Frame` per partial tuple being
+  extended: the candidate run at a join-order position (the matching bucket
+  of the pre-processing hash maps, or a bounded ``arange`` for scan
+  positions), taken in chunks of at most ``batch_size`` candidates, filtered
+  by the newly applicable predicates vectorized over the column arrays, and
+  emitted into the result set in bulk at the last position.  Suspension
+  works mid-chunk: the per-position batch cursors are recorded in the
+  :class:`~repro.skinner.state.JoinState`, and the index vector alone
+  always suffices to rebuild the exact position.
+* **Subtree commits.**  Before descending from an intermediate depth into a
+  fresh frame, :meth:`MultiwayJoin._commit_subtrees` takes the pending
+  survivors there as roots and joins them to the last position level by
+  level, for all elements at once (``GroupedJoinMap.probe_many`` and
+  ``np.repeat`` expansion).  It commits the leading roots whose whole
+  subtrees fit strictly inside the rest of the slice budget (and the meter's
+  remaining budget), with one charge per kind and one ``add_batch``, and
+  leaves the state and frames exactly as the frame loop would.  The frame
+  loop runs the root that straddles the budget cut, a lone pending root,
+  resumes from parked or restored states, and every level with an
+  expression or UDF plan.
+
+The frame loop is the reference for per-slice states and charges: the
+commit must reproduce them after every slice, because the suspended state
+feeds the UCT reward.  The tuple-at-a-time transcription of Algorithm 2
+(``tests/oracles/scalar_join.py``) is the reference for result sets; it
+drains a slice budget at a different rate, so its per-slice states differ.
+``docs/engines.md`` ("Skinner-C executor") states the commit's exactness
+rules.
 """
 
 from __future__ import annotations
@@ -105,6 +121,9 @@ class _OrderContext:
     canonical_positions: tuple[int, ...] = ()
     #: alias -> join-order position, shared by the per-batch fallback path.
     order_positions: dict[str, int] = field(default_factory=dict)
+    #: per depth: whether every deeper position has only vectorized plans,
+    #: so whole subtrees below that depth can be committed array-at-a-time.
+    commit_from: list[bool] = field(default_factory=list)
 
 
 class _Frame:
@@ -221,6 +240,10 @@ class MultiwayJoin:
             context.plans_at.append(
                 [self._plan_predicate(order, position, p) for p in newly]
             )
+        vectorized = [all(plan.vectorized for plan in plans) for plans in context.plans_at]
+        context.commit_from = [
+            all(vectorized[depth + 1:]) for depth in range(len(order) - 1)
+        ] + [False]
         order_position = {alias: position for position, alias in enumerate(order)}
         context.order_positions = order_position
         context.canonical_positions = tuple(
@@ -372,9 +395,193 @@ class MultiwayJoin:
                 frame.survivors = self._filter_batch(context, depth, state, chunk, meter)
                 frame.scursor = 0
                 continue
+            # A lone pending root is cheaper as one more frame: commits then
+            # start one level down, where its children are pending.
+            if (
+                context.commit_from[depth]
+                and frames[depth + 1] is None
+                and frame.survivors.shape[0] - frame.scursor > 1
+            ):
+                committed, examined = self._commit_subtrees(
+                    context, state, frame, offsets, depth, budget - iterations,
+                    result_set, meter,
+                )
+                if committed:
+                    iterations += examined
+                    if frame.scursor >= frame.survivors.shape[0]:
+                        continue
+                    # The next root did not fit: the frame loop descends it.
             state.indices[depth] = int(frame.survivors[frame.scursor])
             frame.scursor += 1
             depth += 1
+
+    def _commit_subtrees(
+        self,
+        context: _OrderContext,
+        state: JoinState,
+        frame: _Frame,
+        offsets: Mapping[str, int],
+        depth: int,
+        limit: int,
+        result_set: JoinResultSet,
+        meter: CostMeter,
+    ) -> tuple[int, int]:
+        """Join the pending survivors at ``depth`` to the end, array-at-a-time.
+
+        The pending survivors are the roots.  Each level below ``depth``
+        probes the join map (or spans the scan range) for all its elements
+        at once, expands with ``np.repeat`` and applies each plan as one
+        mask, gathering earlier positions' indices through ``chain``.  The
+        leading roots whose whole subtrees examine strictly fewer than
+        ``limit`` candidates, and whose charges fit the meter's remaining
+        budget, are committed: emitted in depth-first order, charged once
+        per kind, and left in the state exactly where the frame loop leaves
+        them.  Returns ``(roots committed, candidates examined)``; the frame
+        loop runs the first root that does not fit.
+        """
+        prepared = self._prepared
+        order = context.order
+        last = len(order) - 1
+        roots = frame.survivors[frame.scursor:]
+        count = int(roots.shape[0])  # roots still in the running
+        owner = np.arange(count)  # root of every element of the level
+        chain = [roots]  # indices at positions depth.. of every element
+        scanned = emitted = 0  # exact totals over the ``count`` roots
+        # Per-root scan counts are only needed to cut roots: until the first
+        # cut they stay as per-level (owner, counts) pairs.
+        scans: list[tuple[np.ndarray, np.ndarray | None]] = []
+        examined: np.ndarray | None = None
+        evaluations: list[np.ndarray] = []  # root of each predicate evaluation
+        entered_by: dict[int, int] = {}  # position -> root of its first frame
+        for position in range(depth + 1, last + 1):
+            parents = int(owner.shape[0])
+            if parents == 0:
+                break
+            entered_by[position] = int(owner[0])
+            # The first frame at a position starts from its saved index;
+            # every later one from the offset ``_pop_frame`` resets it to.
+            first_lower = state.indices[position]
+            lower = offsets.get(order[position], 0)
+            spec = context.jump_at[position]
+            if spec is None:
+                starts = np.full(parents, max(0, lower), dtype=np.int64)
+                starts[0] = max(0, first_lower)
+                counts = np.maximum(context.cardinalities[position] - starts, 0)
+            else:
+                earlier = spec.earlier_position
+                probes = (
+                    chain[earlier - depth] if earlier >= depth
+                    else np.full(parents, state.indices[earlier], dtype=np.int64)
+                )
+                join_map = prepared.join_maps[(order[position], spec.own_column)]
+                starts, counts = join_map.probe_many(
+                    prepared.tables[spec.earlier_alias].column(spec.earlier_column),
+                    prepared.physical_column(spec.earlier_alias, spec.earlier_column)[probes],
+                )
+            # Cut roots on upper bounds (whole buckets) before materializing,
+            # so no level's arrays reach ``limit`` elements.
+            if scanned + int(counts.sum()) >= limit:
+                if examined is None:
+                    examined = _per_root(scans, count)
+                bound = np.cumsum(examined + _per_root([(owner, counts)], count))
+                count = int(np.searchsorted(bound, limit, side="left"))
+                if count == 0:
+                    return 0, 0
+                parents = int(np.searchsorted(owner, count, side="left"))
+                owner, starts, counts = owner[:parents], starts[:parents], counts[:parents]
+                chain = [indices[:parents] for indices in chain]
+                examined = examined[:count]
+                scanned = int(examined.sum())
+            total = int(counts.sum())
+            parent_of = np.repeat(np.arange(parents), counts)
+            runs = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(total)
+            if spec is None:
+                candidates = runs
+            else:
+                candidates = join_map.rows[runs]
+                if total and (lower > 0 or first_lower > 0):
+                    floor = np.full(total, lower, dtype=np.int64)
+                    floor[: int(counts[0])] = first_lower
+                    keep = candidates >= floor  # a prefix of every bucket
+                    candidates, parent_of = candidates[keep], parent_of[keep]
+                    counts = np.bincount(parent_of, minlength=parents)
+            if examined is None:
+                scans.append((owner, counts))
+            else:
+                examined += _per_root([(owner, counts)], count)
+            scanned += int(candidates.shape[0])
+            for plan in context.plans_at[position]:
+                if parent_of.shape[0] == 0:
+                    break
+                evaluations.append(owner[parent_of])
+                earlier = plan.other_position
+                other = (
+                    chain[earlier - depth][parent_of] if earlier >= depth
+                    else state.indices[earlier]
+                )
+                mask = self._plan_mask(order[position], plan, candidates, other)
+                candidates, parent_of = candidates[mask], parent_of[mask]
+            owner = owner[parent_of]
+            chain = [indices[parent_of] for indices in chain]
+            chain.append(candidates)
+        else:
+            emitted = int(owner.shape[0])
+        # Root arrays are sorted, so a prefix count is one binary search.
+        evaluated = sum(int(np.searchsorted(roots_of, count)) for roots_of in evaluations)
+        committed = count
+        remaining = meter.remaining
+        if remaining is not None and scanned + evaluated + emitted > remaining:
+            # Only roots whose cumulative charges fit may commit, so the
+            # frame loop raises BudgetExceeded on the very charge it would.
+            if examined is None:
+                examined = _per_root(scans, count)
+            charges = examined + _per_root(
+                [(roots_of, None) for roots_of in evaluations] + [(owner, None)], count
+            )
+            committed = int(np.searchsorted(np.cumsum(charges), remaining, side="right"))
+            if committed == 0:
+                return 0, 0
+            scanned = int(examined[:committed].sum())
+            evaluated = sum(int(np.searchsorted(roots_of, committed)) for roots_of in evaluations)
+            emitted = int(np.searchsorted(owner, committed))
+        meter.charge_scan(scanned)
+        meter.charge_predicate(evaluated)
+        if emitted:  # the leading ``emitted`` rows belong to committed roots
+            matrix = np.empty((emitted, len(prepared.aliases)), dtype=np.int64)
+            for column, position in enumerate(context.canonical_positions):
+                alias = order[position]
+                if position < depth:
+                    matrix[:, column] = prepared.base_row(alias, state.indices[position])
+                else:
+                    indices = chain[position - depth][:emitted]
+                    matrix[:, column] = prepared.base_rows(alias, indices)
+            result_set.add_batch(matrix)
+            meter.charge_output(emitted)
+        state.indices[depth] = int(roots[committed - 1])
+        frame.scursor += committed
+        for position, root in entered_by.items():
+            if root < committed:
+                state.indices[position] = offsets.get(order[position], 0)
+        return committed, scanned
+
+    def _plan_mask(
+        self, alias: str, plan: _PredicatePlan, candidates: np.ndarray, other: Any
+    ) -> np.ndarray:
+        """Mask of a vectorized plan over ``alias``'s candidates.
+
+        ``other`` is the earlier position's filtered index: one ``int`` in
+        the frame loop, one per candidate in a subtree commit.  String plans
+        compare dictionary codes, translating the earlier column's codes
+        into the candidates' dictionary (absent strings match nothing).
+        """
+        prepared = self._prepared
+        own_values = prepared.physical_column(alias, plan.own_column)[candidates]
+        other_values = prepared.physical_column(plan.other_alias, plan.other_column)[other]
+        if plan.own_is_string:
+            own_column = prepared.tables[alias].column(plan.own_column)
+            other_column = prepared.tables[plan.other_alias].column(plan.other_column)
+            other_values = own_column.translate_codes(other_column)[other_values]
+        return _VECTOR_OPS[plan.op](own_values, other_values)
 
     def _make_frame(
         self, context: _OrderContext, state: JoinState, depth: int, lower: int
@@ -513,16 +720,8 @@ class MultiwayJoin:
                 return candidates
             meter.charge_predicate(int(candidates.shape[0]))
             if plan.vectorized:
-                own_values = prepared.physical_column(alias, plan.own_column)[candidates]
-                other_value = prepared.value_at(
-                    plan.other_alias, plan.other_column, state.indices[plan.other_position]
-                )
-                if plan.own_is_string:
-                    code = prepared.encode_for(alias, plan.own_column, other_value)
-                    mask = own_values == code if plan.op == "=" else own_values != code
-                else:
-                    mask = _VECTOR_OPS[plan.op](own_values, other_value)
-                candidates = candidates[mask]
+                other = state.indices[plan.other_position]
+                candidates = candidates[self._plan_mask(alias, plan, candidates, other)]
                 continue
             if plan.expression:
                 filtered = self._filter_expression(context, plan, alias, state, candidates)
@@ -619,3 +818,15 @@ class MultiwayJoin:
                 matrix[:, column] = prepared.base_row(alias, state.indices[position])
         result_set.add_batch(matrix)
         meter.charge_output(rows)
+
+
+
+def _per_root(charges: list[tuple[np.ndarray, np.ndarray | None]], roots: int) -> np.ndarray:
+    """Sums of ``(owner, weights)`` charges per root, for the first ``roots``.
+
+    ``weights`` ``None`` counts one per element.
+    """
+    total = np.zeros(roots, dtype=np.int64)
+    for owner, weights in charges:
+        total += np.bincount(owner, weights, minlength=roots)[:roots].astype(np.int64)
+    return total

@@ -22,7 +22,7 @@ from repro.query.predicates import Predicate
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
-from repro.storage.column import ColumnType
+from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
 
 
@@ -113,9 +113,10 @@ class PreprocessedQuery:
     def physical_column(self, alias: str, column: str) -> np.ndarray:
         """Physical values of ``alias.column`` over the filtered tuple array.
 
-        For string columns these are dictionary codes; compare them against
-        :meth:`encode_for`-translated literals.  The gathered array is cached
-        because the batched executor slices it once per candidate batch.
+        For string columns these are dictionary codes; compare them with
+        another column's codes through ``Column.translate_codes``.  The
+        gathered array is cached because the batched executor slices it once
+        per candidate batch.
         """
         key = (alias, column)
         cached = self._physical_cache.get(key)
@@ -139,14 +140,6 @@ class PreprocessedQuery:
             cached = col.decoded_data[self.filtered[alias]]
             self._decoded_array_cache[key] = cached
         return cached
-
-    def encode_for(self, alias: str, column: str, value: Any) -> Any:
-        """Translate a decoded value into ``alias.column``'s physical domain.
-
-        String columns return the dictionary code (``-1`` when the value does
-        not occur, so no row compares equal); numeric columns pass through.
-        """
-        return self.tables[alias].column(column).encode(value)
 
     def is_empty(self) -> bool:
         """Whether any table has no surviving tuples (empty join result)."""
@@ -294,14 +287,73 @@ class GroupedJoinMap:
         return matches
 
     def _lookup(self, value: Any) -> np.ndarray | None:
+        run = self._locate(value)
+        if run is None:
+            return None
+        start, count = run
+        return self._rows[start:start + count]
+
+    def _locate(self, value: Any) -> tuple[int, int] | None:
+        """``(start, count)`` of the run ``get(value)`` returns, or ``None``."""
         probe = self._encode_probe(value)
         if probe is None or self._keys.shape[0] == 0:
             return None
         position = int(np.searchsorted(self._keys, probe))
         if position >= self._keys.shape[0] or self._keys[position] != probe:
             return None  # also NaN keys at this position: nan != nan
-        start = int(self._starts[position])
-        return self._rows[start:start + int(self._counts[position])]
+        return int(self._starts[position]), int(self._counts[position])
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Filtered indices grouped by key; :meth:`probe_many` runs index it."""
+        return self._rows
+
+    def probe_many(
+        self, column: Column, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`get` for an array of probe values.
+
+        ``values`` are *physical* values of the probe-side ``column``
+        (dictionary codes for strings).  Returns ``(starts, counts)``: probe
+        ``i`` matches ``rows[starts[i] : starts[i] + counts[i]]``, exactly
+        the run ``get`` returns for the decoded value, and ``counts[i] == 0``
+        (with an arbitrary start) where ``get`` returns ``None``.  Same-type
+        numeric probes and string-to-string probes (through a dictionary-code
+        translation) binary-search all keys at once; any other type mix calls
+        the scalar lookup once per distinct value, so its cross-type rules
+        apply unchanged.
+        """
+        values = np.asarray(values)
+        size = values.shape[0]
+        keys = self._keys
+        if size == 0 or keys.shape[0] == 0:
+            return np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
+        own_type = self._column.ctype
+        if own_type is ColumnType.STRING and column.ctype is ColumnType.STRING:
+            # Absent strings translate to a sentinel code no key carries.
+            probes = self._column.translate_codes(column)[values]
+        elif own_type is column.ctype:
+            probes = values
+        else:
+            return self._probe_distinct(column, values)
+        positions = np.searchsorted(keys, probes)
+        np.minimum(positions, keys.shape[0] - 1, out=positions)
+        hits = keys[positions] == probes  # NaN probes and NaN keys never hit
+        return self._starts[positions], np.where(hits, self._counts[positions], 0)
+
+    def _probe_distinct(
+        self, column: Column, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Cross-type :meth:`probe_many`: one scalar lookup per distinct value."""
+        distinct, inverse = np.unique(values, return_inverse=True)
+        decoded = distinct.tolist()
+        if column.ctype is ColumnType.STRING:
+            dictionary = column.dictionary
+            decoded = [dictionary[code] for code in decoded]
+        runs = [self._locate(value) or (0, 0) for value in decoded]
+        located = np.asarray(runs, dtype=np.int64).reshape(-1, 2)
+        inverse = inverse.reshape(-1)
+        return located[inverse, 0], located[inverse, 1]
 
 
 def _build_join_maps(prepared: PreprocessedQuery, meter: CostMeter) -> None:

@@ -7,9 +7,14 @@ contexts of :class:`~repro.skinner.multiway_join.MultiwayJoin` and only
 replaces :meth:`continue_join`, so a test can substitute it anywhere the
 production executor is constructed — directly, or by monkeypatching
 ``repro.skinner.skinner_c.MultiwayJoin`` to run a whole engine on it.
-Both executors enumerate candidates in the same lexicographic order and
-drain a slice budget at the same rate, so they reach the same result sets
-and the same suspend/resume states.
+Both executors enumerate candidates in the same lexicographic order, so
+they reach the same result sets and the same finished state.  They do not
+drain a slice budget at the same rate (the batched executor charges whole
+chunks, including candidates it filters ahead of a descent), so their
+per-slice suspend/resume states and meter totals differ.  This oracle is
+the reference for result sets; the reference for per-slice states and
+charges is the batched executor's own frame loop
+(``tests/test_subtree_commit.py``).
 """
 
 from __future__ import annotations
