@@ -16,15 +16,7 @@ compares Postgres, MonetDB, and SkinnerDB.
 """
 
 from repro.engine.executor import PlanExecutor
-from repro.engine.joinkernels import (
-    CompositeKeys,
-    GroupedRows,
-    KeyPart,
-    encode_composite_keys,
-    expand_matches,
-    group_rows,
-    probe_grouped,
-)
+from repro.engine.joinkernels import GroupedJoinMap, GroupedRows, group_rows
 from repro.engine.meter import CostMeter, WorkBreakdown
 from repro.engine.postprocess import post_process
 from repro.engine.profiles import EngineProfile, get_profile
@@ -32,21 +24,17 @@ from repro.engine.relation import RowIdRelation
 from repro.engine.task import EngineTask, ExecutionBackend, validate_task_contract
 
 __all__ = [
-    "CompositeKeys",
     "CostMeter",
     "EngineProfile",
     "EngineTask",
     "ExecutionBackend",
+    "GroupedJoinMap",
     "GroupedRows",
-    "KeyPart",
     "PlanExecutor",
     "RowIdRelation",
     "WorkBreakdown",
-    "encode_composite_keys",
-    "expand_matches",
     "get_profile",
     "group_rows",
     "post_process",
-    "probe_grouped",
     "validate_task_contract",
 ]

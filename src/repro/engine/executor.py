@@ -6,8 +6,10 @@ of a query), producing a row-id relation.  It supports:
 
 * pre-processing (unary predicate filtering) with cached results,
 * hash joins when equality predicates link the new table to the prefix,
-  nested-loop joins otherwise; the hash join runs the vectorized kernel of
-  :mod:`repro.engine.joinkernels` (see :mod:`repro.engine.operators`),
+  nested-loop joins otherwise; the hash join probes
+  :class:`~repro.engine.joinkernels.GroupedJoinMap` indexes of the build
+  side (see :mod:`repro.engine.operators`), cached per ``(alias, column)``
+  for as long as the same build-positions array comes back,
 * vectorized residual/unary predicate evaluation for UDF-free comparisons
   (see :mod:`repro.engine.vectorized`); only UDF predicates are evaluated
   tuple at a time,
@@ -18,10 +20,12 @@ of a query), producing a row-id relation.  It supports:
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro.engine.joinkernels import GroupedJoinMap
 from repro.engine.meter import CostMeter
 from repro.engine.operators import filter_table, hash_join_step, nested_loop_step
 from repro.engine.relation import RowIdRelation
@@ -48,6 +52,9 @@ class PlanExecutor:
             alias: catalog.table(name) for alias, name in query.tables
         }
         self._filtered: dict[str, np.ndarray] | None = None
+        #: ``(alias, column) -> (positions, index)``: the last build-side
+        #: index per key column, reused while ``positions`` is the same array.
+        self._indexes: dict[tuple[str, str], tuple[np.ndarray, GroupedJoinMap]] = {}
 
     # ------------------------------------------------------------------
     # pre-processing
@@ -67,6 +74,18 @@ class PlanExecutor:
                 filtered[alias] = filter_table(table, alias, predicates, meter, self._udfs)
             self._filtered = filtered
         return self._filtered
+
+    def fresh(self) -> "PlanExecutor":
+        """An executor over the same tables with nothing filtered or indexed.
+
+        A DBMS that re-runs a query re-filters its inputs; Skinner-H's
+        whole-plan attempts each run on a fresh executor, so every attempt
+        is charged its filtering, on the tables its task started with.
+        """
+        executor = copy.copy(self)
+        executor._filtered = None
+        executor._indexes = {}
+        return executor
 
     def filtered_positions(self, alias: str) -> np.ndarray:
         """Row positions of ``alias`` surviving its unary predicates."""
@@ -121,7 +140,7 @@ class PlanExecutor:
             if equi:
                 result = hash_join_step(
                     result, alias, self._tables[alias], positions_of[alias],
-                    equi, residual, self._tables, meter, self._udfs,
+                    equi, residual, self._tables, meter, self._udfs, self._join_index,
                 )
             else:
                 result = nested_loop_step(
@@ -129,6 +148,21 @@ class PlanExecutor:
                     residual, self._tables, meter, self._udfs,
                 )
         return result
+
+    def _join_index(self, alias: str, column: str, positions: np.ndarray) -> GroupedJoinMap:
+        """The join index over ``positions`` of ``alias.column`` (cached).
+
+        Skinner-G re-runs the executor on every batch attempt with the same
+        remainder arrays, so the build side is grouped once per remainder
+        rather than once per attempt.  Identity, not equality, keys the
+        reuse: position arrays are never mutated.
+        """
+        cached = self._indexes.get((alias, column))
+        if cached is not None and cached[0] is positions:
+            return cached[1]
+        index = GroupedJoinMap(self._tables[alias].column(column), positions)
+        self._indexes[(alias, column)] = (positions, index)
+        return index
 
     # ------------------------------------------------------------------
     # helpers used by optimizers and the true-cardinality oracle

@@ -12,30 +12,25 @@ repository:
   the new table to the current prefix (Cartesian product or generic/UDF-only
   join predicates).
 
-The hash join is the columnar kernel from :mod:`repro.engine.joinkernels`:
-composite keys encoded as int64 code vectors, the build side grouped by
-stable argsort, the probe side matched via ``searchsorted``, and the result
-emitted as whole selector arrays.  It produces the same relation, in the same
-row order and with the same meter charges, as a dict-based tuple-at-a-time
-build/probe (``tests/oracles/rows_hash_join.py``); NaN float join keys never
-match (see :mod:`repro.engine.joinkernels`).
+The hash join probes one :class:`~repro.engine.joinkernels.GroupedJoinMap`
+per build-side key column — the join index Skinner-C's hash-jump uses too,
+with its pinned key rules (NaN never matches, exact int/float, strings across
+dictionaries).  A composite key probes its first equality and keeps a pair
+only where every other part lands in the same run of its own map.  The result
+is emitted as whole selector arrays.  It produces the same relation, in the
+same row order and with the same meter charges, as a dict-based
+tuple-at-a-time build/probe (``tests/oracles/rows_hash_join.py``).
 
 All operators charge their work to a :class:`~repro.engine.meter.CostMeter`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.engine.joinkernels import (
-    KeyPart,
-    encode_composite_keys,
-    expand_matches,
-    group_rows,
-    probe_grouped,
-)
+from repro.engine.joinkernels import GroupedJoinMap
 from repro.engine.meter import CostMeter
 from repro.engine.relation import RowIdRelation
 from repro.engine.vectorized import (
@@ -48,6 +43,11 @@ from repro.query.expressions import ColumnRef
 from repro.query.predicates import Predicate
 from repro.query.udf import UdfRegistry
 from repro.storage.table import Table
+
+#: ``index_for(alias, column, positions)`` returns the join index over
+#: ``positions`` of ``alias.column``; the plan executor passes a cache.
+JoinIndexProvider = Callable[[str, str, np.ndarray], GroupedJoinMap]
+
 
 def filter_table(
     table: Table,
@@ -143,20 +143,23 @@ def hash_join_step(
     tables: Mapping[str, Table],
     meter: CostMeter,
     udfs: UdfRegistry | None = None,
+    index_for: JoinIndexProvider | None = None,
 ) -> RowIdRelation:
     """Extend ``prefix`` by ``alias`` using a hash join.
 
     ``equi_predicates`` must each connect ``alias`` to some alias already in
     the prefix via column equality.  ``residual_predicates`` are evaluated on
-    each candidate combination.
+    each candidate combination.  ``index_for`` supplies the build-side
+    indexes (default: a fresh :class:`GroupedJoinMap` per key column).
     """
     # Building the hash side scans/hashes the new table's tuples once, so it
     # is charged as scan work, not as hash probes: the probe counter must
     # mean the same thing across join implementations for the meter profiles
-    # and the Table-6 ablation to be comparable.
+    # and the Table-6 ablation to be comparable.  A cached index is charged
+    # all the same: the meter models a DBMS that rebuilds it per execution.
     meter.charge_scan(positions.shape[0])
     candidate = _vectorized_hash_join(prefix, alias, table, positions, equi_predicates,
-                                      tables, meter)
+                                      tables, meter, index_for)
     return _apply_residual(candidate, residual_predicates, tables, meter, udfs)
 
 
@@ -168,42 +171,49 @@ def _vectorized_hash_join(
     equi_predicates: Sequence[Predicate],
     tables: Mapping[str, Table],
     meter: CostMeter,
+    index_for: JoinIndexProvider | None = None,
 ) -> RowIdRelation:
-    """Columnar build/probe via the :mod:`repro.engine.joinkernels` primitives."""
+    """Probe the build side's join indexes with the prefix's key columns."""
     parts = []
     for predicate in equi_predicates:
         left, right = predicate.equi_join_columns()
-        own = left if left.table == alias else right
-        other = right if left.table == alias else left
-        build_column = table.column(own.column)
+        own, other = (left, right) if left.table == alias else (right, left)
+        index = (
+            GroupedJoinMap(table.column(own.column), positions) if index_for is None
+            else index_for(alias, own.column, positions)
+        )
         probe_column = tables[other.table].column(other.column)
-        parts.append(KeyPart(
-            build_column=build_column,
-            build_values=build_column.data[positions],
-            probe_column=probe_column,
-            probe_values=probe_column.data[prefix.ids(other.table)],
-        ))
-    keys = encode_composite_keys(parts)
+        parts.append((index, probe_column, probe_column.data[prefix.ids(other.table)]))
     meter.charge_probe(len(prefix))
-    build_rows_valid = np.flatnonzero(keys.build_valid).astype(np.int64)
-    grouped = group_rows(keys.build_codes[build_rows_valid], build_rows_valid)
-    probe_rows, groups = probe_grouped(grouped, keys.probe_codes, keys.probe_valid)
+    first, probe_column, probe_values = parts[0]
+    starts, counts = first.probe_many(probe_column, probe_values)
+    if len(parts) > 1:
+        # Composite key: expand the first part's matches, then keep the pairs
+        # whose probe row lands in the build row's run of every other part.
+        selector, build_rows = first.expand(starts, counts)
+        for index, probe_column, probe_values in parts[1:]:
+            part_starts, part_counts = index.probe_many(probe_column, probe_values)
+            same = (part_counts[selector] > 0) & (
+                index.run_starts()[build_rows] == part_starts[selector]
+            )
+            selector, build_rows = selector[same], build_rows[same]
+        counts = np.bincount(selector, minlength=len(prefix))
+    total_matches = int(counts.sum())
     # Charge before materializing so a work budget cuts off an exploding
     # join as soon as the budget is reached.  A tuple-at-a-time probe charges
-    # one probe row's matches at a time and stops at the group that crosses
+    # one probe row's matches at a time and stops at the row that crosses
     # the budget; to record the identical overshoot (Skinner-G/H merge
     # aborted meters into their reported work), a charge that would exceed
     # the remaining budget is truncated to the cumulative count through that
-    # same crossing group before it raises.
-    counts = grouped.counts[groups]
-    total_matches = int(counts.sum())
+    # same crossing row before it raises.
     remaining = meter.remaining
     if remaining is not None and total_matches > remaining:
         cumulative = np.cumsum(counts)
         crossing = int(np.searchsorted(cumulative, remaining, side="right"))
         total_matches = int(cumulative[crossing])
     meter.charge_intermediate(total_matches)
-    selector, build_rows = expand_matches(grouped, probe_rows, groups)
+    if len(parts) == 1:
+        selector, build_rows = first.expand(starts, counts)
     return prefix.extend(alias, positions[build_rows], selector)
 
 

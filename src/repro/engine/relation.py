@@ -110,12 +110,19 @@ class RowIdRelation:
         *set* — never of the executor (hash join, external scan, ...) that
         happened to find the tuples.
         """
-        key_aliases = list(aliases) if aliases is not None else self.aliases
         if self._length == 0:
             return self
-        matrix = np.stack([self._ids[alias] for alias in key_aliases], axis=1)
+        matrix = self.to_matrix(aliases)
         order = np.lexsort(matrix.T[::-1])
         return RowIdRelation({alias: ids[order] for alias, ids in self._ids.items()})
+
+    def to_matrix(self, aliases: Sequence[str] | None = None) -> np.ndarray:
+        """The result as a ``(rows, aliases)`` int64 matrix, columns by ``aliases``."""
+        order = list(aliases) if aliases is not None else self.aliases
+        matrix = np.empty((self._length, len(order)), dtype=np.int64)
+        for column, alias in enumerate(order):
+            matrix[:, column] = self._ids[alias]
+        return matrix
 
     def index_tuples(self, aliases: Sequence[str] | None = None) -> list[tuple[int, ...]]:
         """Return the result as a list of index tuples ordered by ``aliases``."""

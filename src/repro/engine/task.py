@@ -23,8 +23,8 @@ introspectable contract, so the protocol is now a formal ABC:
     The execution substrate Skinner-G/H drive their batch attempts on —
     the paper's "existing DBMS".  The internal left-deep
     :class:`~repro.engine.executor.PlanExecutor` implements it as the
-    default and A/B reference; :mod:`repro.external` implements it over
-    real databases (sqlite3, Postgres) by emitting order-forcing SQL.
+    default; :mod:`repro.external` implements it over real databases
+    (sqlite3, Postgres) by emitting order-forcing SQL.
 
 Keeping the ABCs in ``repro.engine`` (below ``repro.skinner``,
 ``repro.external``, and ``repro.serving`` in the import graph) lets engine
@@ -157,8 +157,8 @@ class GenericEngine(abc.ABC):
       performed up to (and including) the overflowing charge; external
       adapters charge exactly the budget — so learning trajectories are a
       pure function of data + knobs.
-    * Row identity: results are **row-position tuples** into the base
-      tables (the internal row-id representation), ordered like
+    * Row identity: results are **row positions** into the base tables (the
+      internal row-id representation), one column per alias of
       ``query.aliases``, so post-processing, deduplication, and result
       ordering stay inside the reproduction and rows are byte-identical
       across substrates.
@@ -183,24 +183,27 @@ class GenericEngine(abc.ABC):
         order: Sequence[str],
         base_positions: "Mapping[str, np.ndarray]",
         budget: int,
-    ) -> "tuple[CostMeter, list[tuple[int, ...]] | None]":
+    ) -> "tuple[CostMeter, np.ndarray | None]":
         """One batch attempt in the forced ``order`` under ``budget``.
 
         ``base_positions`` restricts each alias to a subset of its filtered
         positions (the left-most alias to one batch, the others to their
         unprocessed remainder).  Returns the meter charged for the attempt
-        and the joined row-position tuples (``query.aliases`` order), or
-        ``None`` when the budget expired first.
+        and the joined rows as a ``(rows, aliases)`` int64 matrix of row
+        positions (columns in ``query.aliases`` order), or ``None`` when the
+        budget expired first.
         """
 
     @abc.abstractmethod
     def execute_plan(
-        self, order: Sequence[str], budget: int
-    ) -> "tuple[CostMeter, RowIdRelation | None]":
-        """One whole-query attempt in the forced ``order`` under ``budget``.
+        self, order: Sequence[str], meter: "CostMeter"
+    ) -> "RowIdRelation | None":
+        """One whole-query attempt in the forced ``order``.
 
-        Used by Skinner-H's traditional-plan side.  Returns the meter and
-        the complete join relation, or ``None`` on timeout.
+        Used by Skinner-H's traditional-plan side.  ``meter`` carries the
+        attempt's budget and receives the attempt's work, also when the
+        attempt raises.  Returns the complete join relation, or ``None`` on
+        timeout.
         """
 
     def close(self) -> None:

@@ -27,6 +27,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.engine.joinkernels import GroupedJoinMap
 from repro.query.expressions import ColumnRef, Expression, FunctionCall, Literal, Star
 
 __all__ = [
@@ -45,10 +46,13 @@ class NotVectorizable(Exception):
 
 
 #: Comparators applied to evaluated arrays.  NumPy broadcasting gives the
-#: same elementwise truth values as the Python operators the row path uses.
+#: same elementwise truth values as the Python operators the row path uses;
+#: equality goes through the join index's rule
+#: (:meth:`~repro.engine.joinkernels.GroupedJoinMap.keys_equal`), which
+#: keeps Python's exact int/float comparison that float promotion loses.
 VECTOR_COMPARATORS: dict[str, Callable[[Any, Any], Any]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+    "=": GroupedJoinMap.keys_equal,
+    "!=": lambda a, b: np.logical_not(GroupedJoinMap.keys_equal(a, b)),
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,
     ">": lambda a, b: a > b,

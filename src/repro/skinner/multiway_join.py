@@ -55,9 +55,15 @@ import numpy as np
 
 from repro.config import DEFAULT_CONFIG
 from repro.engine.meter import CostMeter
-from repro.engine.vectorized import NotVectorizable, broadcast, evaluate_value, vectorizable
+from repro.engine.vectorized import (
+    VECTOR_COMPARATORS,
+    NotVectorizable,
+    broadcast,
+    evaluate_value,
+    vectorizable,
+)
 from repro.query.expressions import ColumnRef
-from repro.query.predicates import _COMPARATORS, Predicate
+from repro.query.predicates import Predicate
 from repro.query.udf import UdfRegistry
 from repro.skinner.preprocessor import PreprocessedQuery
 from repro.skinner.result_set import JoinResultSet
@@ -65,11 +71,6 @@ from repro.skinner.state import JoinState
 from repro.storage.column import ColumnType
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-#: comparators for vectorized predicate plans.  ``Predicate.evaluate`` uses
-#: the same table (its lambdas broadcast over numpy arrays), so vectorized
-#: and row-at-a-time evaluation inherit any operator change together.
-_VECTOR_OPS = _COMPARATORS
 
 #: mirrored operator when the batch-position column is the right-hand side.
 _MIRRORED_OP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -286,13 +287,13 @@ class MultiwayJoin:
         plan = _PredicatePlan(predicate=predicate, aliases=aliases)
         left, op, right = predicate.left, predicate.op, predicate.right
         if (
-            op not in _VECTOR_OPS
+            op not in VECTOR_COMPARATORS
             or not isinstance(left, ColumnRef)
             or not isinstance(right, ColumnRef)
             or left.table == right.table
         ):
             plan.expression = (
-                op in _VECTOR_OPS
+                op in VECTOR_COMPARATORS
                 and right is not None
                 and not predicate.uses_udf
                 and vectorizable(left)
@@ -573,6 +574,8 @@ class MultiwayJoin:
         the frame loop, one per candidate in a subtree commit.  String plans
         compare dictionary codes, translating the earlier column's codes
         into the candidates' dictionary (absent strings match nothing).
+        Equality follows the join index's key rules
+        (``GroupedJoinMap.keys_equal``: exact between int and float).
         """
         prepared = self._prepared
         own_values = prepared.physical_column(alias, plan.own_column)[candidates]
@@ -581,7 +584,7 @@ class MultiwayJoin:
             own_column = prepared.tables[alias].column(plan.own_column)
             other_column = prepared.tables[plan.other_alias].column(plan.other_column)
             other_values = own_column.translate_codes(other_column)[other_values]
-        return _VECTOR_OPS[plan.op](own_values, other_values)
+        return VECTOR_COMPARATORS[plan.op](own_values, other_values)
 
     def _make_frame(
         self, context: _OrderContext, state: JoinState, depth: int, lower: int
@@ -759,7 +762,7 @@ class MultiwayJoin:
         try:
             left = evaluate_value(predicate.left, resolve)
             right = evaluate_value(predicate.right, resolve)
-            mask = np.asarray(_VECTOR_OPS[predicate.op](left, right), dtype=bool)
+            mask = np.asarray(VECTOR_COMPARATORS[predicate.op](left, right), dtype=bool)
         except NotVectorizable:
             return None
         if mask.ndim == 0:  # incomparable scalar fallout: uniform truth value

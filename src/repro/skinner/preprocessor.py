@@ -4,7 +4,9 @@ Pre-processing (paper §3) filters every base table via its unary predicates
 and, when equality join predicates are present, builds hash maps from join
 column values to the positions of the *filtered* tuple arrays.  Those maps
 power the hash-jump acceleration of the multi-way join: only tuples that
-survived the unary predicates are hashed, keeping the overhead small.
+survived the unary predicates are hashed, keeping the overhead small.  Each
+map is a :class:`~repro.engine.joinkernels.GroupedJoinMap`, the join index
+the plan executor's hash join uses as well.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.joinkernels import group_rows
+from repro.engine.joinkernels import GroupedJoinMap
 from repro.engine.meter import CostMeter
 from repro.engine.operators import filter_table
 from repro.query.predicates import Predicate
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
-from repro.storage.column import Column, ColumnType
+from repro.storage.column import ColumnType
 from repro.storage.table import Table
 
 
@@ -54,7 +56,7 @@ class PreprocessedQuery:
     aliases: tuple[str, ...]
     tables: dict[str, Table]
     filtered: dict[str, np.ndarray]
-    join_maps: dict[tuple[str, str], "GroupedJoinMap"] = field(default_factory=dict)
+    join_maps: dict[tuple[str, str], GroupedJoinMap] = field(default_factory=dict)
     join_predicates: list[Predicate] = field(default_factory=list)
     _physical_cache: dict[tuple[str, str], np.ndarray] = field(
         default_factory=dict, repr=False
@@ -183,177 +185,6 @@ def preprocess(
     if build_hash_maps:
         _build_join_maps(prepared, meter)
     return prepared
-
-
-class GroupedJoinMap:
-    """One join column's bucket index in the kernel's grouped-runs form.
-
-    The dict-based predecessor decoded every distinct key into a Python
-    object and materialized a ``{value: rows}`` dict — one decode, one hash,
-    and one slice per distinct key at build time.  This map keeps the
-    :class:`~repro.engine.joinkernels.GroupedRows` of the *physical* column
-    values directly (dictionary codes for strings): build is the shared
-    ``group_rows`` sort with no per-key Python loop, and :meth:`get`
-    translates the probe value into the physical domain and binary-searches
-    the sorted run keys.
-
-    Lookup semantics match the dict exactly:
-
-    * rows within a bucket stay in ascending order (stable grouping sort),
-      which the hash-jump's per-bucket ``searchsorted`` relies on;
-    * float NaN keys form singleton runs no probe can find again
-      (``nan != nan``) — the pinned NaN-never-matches join semantics;
-    * cross-type probes follow Python ``==``: ``1`` finds ``1.0`` and vice
-      versa (only when the conversion is exact, so huge ints and floats
-      beyond 2**53 never invent matches), while a string probed against a
-      numeric column (or the reverse) matches nothing.
-    """
-
-    __slots__ = ("_column", "_keys", "_rows", "_starts", "_counts", "_memo")
-
-    def __init__(self, column, positions: np.ndarray) -> None:
-        self._column = column
-        grouped = group_rows(column.data[positions])
-        self._keys = grouped.keys
-        self._rows = grouped.rows
-        self._starts = grouped.starts
-        self._counts = grouped.counts
-        #: Probe memo: the hash-jump probes the same decoded values once per
-        #: index advance, so the first lookup's encode + binary search is
-        #: cached and every repeat is one dict hit — the lazily materialized
-        #: subset of the old eager ``{value: rows}`` dict that is actually
-        #: probed.  (NaN probes bypass the memo: ``nan != nan`` would grow
-        #: it without bound.)
-        self._memo: dict[Any, np.ndarray | None] = {}
-
-    def __len__(self) -> int:
-        return int(self._keys.shape[0])
-
-    def __contains__(self, value: Any) -> bool:
-        return self.get(value) is not None
-
-    def _encode_probe(self, value: Any) -> Any | None:
-        """Translate a decoded probe value into the physical key domain.
-
-        Returns ``None`` when no key can possibly equal the value (type
-        mismatch, absent dictionary string, inexact int/float conversion).
-        """
-        if self._column.ctype is ColumnType.STRING:
-            if not isinstance(value, str):
-                return None
-            code = self._column.encode(value)
-            return code if code >= 0 else None
-        if isinstance(value, bool):
-            value = int(value)
-        if not isinstance(value, (int, float, np.integer, np.floating)):
-            return None
-        if self._keys.dtype.kind in "iu":
-            if isinstance(value, (float, np.floating)):
-                # Only exactly-integral in-range floats can equal an int key.
-                if not (np.isfinite(value) and float(value).is_integer()):
-                    return None
-                as_int = int(value)
-                if not (-(2**63) <= as_int < 2**63):
-                    return None
-                return as_int
-            return int(value)
-        if isinstance(value, (int, np.integer)):
-            try:
-                as_float = float(value)
-            except OverflowError:
-                return None
-            # An inexact conversion means no float64 key equals this int.
-            if int(as_float) != int(value):
-                return None
-            return as_float
-        return float(value)
-
-    def get(self, value: Any) -> np.ndarray | None:
-        """Rows whose join column equals ``value``, or ``None`` (no bucket).
-
-        The returned array is a view of the grouped run — ascending filtered
-        indices, exactly what the dict-based map stored per key.
-        """
-        if isinstance(value, float) and value != value:
-            return None  # NaN never matches (pinned join semantics)
-        try:
-            return self._memo[value]
-        except KeyError:
-            pass
-        except TypeError:  # unhashable probe values can never equal a key
-            return None
-        matches = self._lookup(value)
-        self._memo[value] = matches
-        return matches
-
-    def _lookup(self, value: Any) -> np.ndarray | None:
-        run = self._locate(value)
-        if run is None:
-            return None
-        start, count = run
-        return self._rows[start:start + count]
-
-    def _locate(self, value: Any) -> tuple[int, int] | None:
-        """``(start, count)`` of the run ``get(value)`` returns, or ``None``."""
-        probe = self._encode_probe(value)
-        if probe is None or self._keys.shape[0] == 0:
-            return None
-        position = int(np.searchsorted(self._keys, probe))
-        if position >= self._keys.shape[0] or self._keys[position] != probe:
-            return None  # also NaN keys at this position: nan != nan
-        return int(self._starts[position]), int(self._counts[position])
-
-    @property
-    def rows(self) -> np.ndarray:
-        """Filtered indices grouped by key; :meth:`probe_many` runs index it."""
-        return self._rows
-
-    def probe_many(
-        self, column: Column, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`get` for an array of probe values.
-
-        ``values`` are *physical* values of the probe-side ``column``
-        (dictionary codes for strings).  Returns ``(starts, counts)``: probe
-        ``i`` matches ``rows[starts[i] : starts[i] + counts[i]]``, exactly
-        the run ``get`` returns for the decoded value, and ``counts[i] == 0``
-        (with an arbitrary start) where ``get`` returns ``None``.  Same-type
-        numeric probes and string-to-string probes (through a dictionary-code
-        translation) binary-search all keys at once; any other type mix calls
-        the scalar lookup once per distinct value, so its cross-type rules
-        apply unchanged.
-        """
-        values = np.asarray(values)
-        size = values.shape[0]
-        keys = self._keys
-        if size == 0 or keys.shape[0] == 0:
-            return np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
-        own_type = self._column.ctype
-        if own_type is ColumnType.STRING and column.ctype is ColumnType.STRING:
-            # Absent strings translate to a sentinel code no key carries.
-            probes = self._column.translate_codes(column)[values]
-        elif own_type is column.ctype:
-            probes = values
-        else:
-            return self._probe_distinct(column, values)
-        positions = np.searchsorted(keys, probes)
-        np.minimum(positions, keys.shape[0] - 1, out=positions)
-        hits = keys[positions] == probes  # NaN probes and NaN keys never hit
-        return self._starts[positions], np.where(hits, self._counts[positions], 0)
-
-    def _probe_distinct(
-        self, column: Column, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Cross-type :meth:`probe_many`: one scalar lookup per distinct value."""
-        distinct, inverse = np.unique(values, return_inverse=True)
-        decoded = distinct.tolist()
-        if column.ctype is ColumnType.STRING:
-            dictionary = column.dictionary
-            decoded = [dictionary[code] for code in decoded]
-        runs = [self._locate(value) or (0, 0) for value in decoded]
-        located = np.asarray(runs, dtype=np.int64).reshape(-1, 2)
-        inverse = inverse.reshape(-1)
-        return located[inverse, 0], located[inverse, 1]
 
 
 def _build_join_maps(prepared: PreprocessedQuery, meter: CostMeter) -> None:

@@ -9,9 +9,9 @@ timed-out attempts earn reward 0 and all their intermediate work is lost.
 
 The generic engine is pluggable (:class:`~repro.engine.task.GenericEngine`):
 the default :class:`InternalGenericEngine` wraps the left-deep
-:class:`~repro.engine.executor.PlanExecutor` (the A/B reference), while
-:mod:`repro.external` provides substrates that drive a real DBMS through
-order-forcing SQL — exactly the deployment the paper describes.
+:class:`~repro.engine.executor.PlanExecutor`, while :mod:`repro.external`
+provides substrates that drive a real DBMS through order-forcing SQL —
+exactly the deployment the paper describes.
 
 Clock discipline: all batch budgets and rewards run on the deterministic
 work-unit clock of :class:`~repro.engine.meter.CostMeter` — never wall-clock
@@ -63,19 +63,14 @@ GenericEngineProvider = Callable[
 class InternalGenericEngine(GenericEngine):
     """The default substrate: the internal left-deep plan executor.
 
-    Wraps :class:`~repro.engine.executor.PlanExecutor` behind the
-    :class:`~repro.engine.task.GenericEngine` contract with byte-identical
-    charges and results to the historical direct-call code path.
+    Batch attempts share one :class:`~repro.engine.executor.PlanExecutor`,
+    so its filtered positions and its cached join indexes serve every
+    attempt.  Whole-plan attempts (Skinner-H's traditional side) each run a
+    fresh copy (:meth:`PlanExecutor.fresh`), so every attempt pays — and is
+    charged — its filtering, as a DBMS re-running the query would.
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        query: Query,
-        udfs: UdfRegistry | None,
-        config: SkinnerConfig,
-    ) -> None:
-        self._query = query
+    def __init__(self, catalog: Catalog, query: Query, udfs: UdfRegistry | None) -> None:
         self._aliases = tuple(query.aliases)
         self._executor = PlanExecutor(catalog, query, udfs)
 
@@ -94,23 +89,19 @@ class InternalGenericEngine(GenericEngine):
         order: Sequence[str],
         base_positions: Mapping[str, np.ndarray],
         budget: int,
-    ) -> tuple[CostMeter, list[tuple[int, ...]] | None]:
+    ) -> tuple[CostMeter, np.ndarray | None]:
         meter = CostMeter(budget=budget)
         try:
             relation = self._executor.execute_order(order, meter, base_positions)
         except BudgetExceeded:
             return meter, None
-        return meter, relation.index_tuples(self._aliases)
+        return meter, relation.to_matrix(self._aliases)
 
-    def execute_plan(
-        self, order: Sequence[str], budget: int
-    ) -> tuple[CostMeter, RowIdRelation | None]:
-        meter = CostMeter(budget=budget)
+    def execute_plan(self, order: Sequence[str], meter: CostMeter) -> RowIdRelation | None:
         try:
-            relation = self._executor.execute_order(order, meter)
+            return self._executor.fresh().execute_order(order, meter)
         except BudgetExceeded:
-            return meter, None
-        return meter, relation
+            return None
 
 
 @dataclass
@@ -122,25 +113,24 @@ class GenericLearningRun:
     single iteration (one batch attempt) and reports the work it consumed.
     """
 
-    catalog: Catalog
     query: Query
-    udfs: UdfRegistry | None
     config: SkinnerConfig
-    #: The execution substrate; ``None`` selects the internal executor.
-    engine: GenericEngine | None = None
+    #: The execution substrate (the "existing DBMS").
+    engine: GenericEngine
     meter: CostMeter = field(init=False)
     result_set: JoinResultSet = field(init=False)
     scheme: PyramidTimeoutScheme = field(init=False)
     trees: dict[int, UctJoinTree] = field(init=False, default_factory=dict)
     batch_offsets: dict[str, int] = field(init=False, default_factory=dict)
     batches: dict[str, list[np.ndarray]] = field(init=False, default_factory=dict)
+    #: Per alias and batch offset, the unprocessed suffix of its filtered
+    #: positions — one array per offset, so every attempt at that offset
+    #: hands the engine the same array (and hits its join-index cache).
+    remainders: dict[str, list[np.ndarray]] = field(init=False, default_factory=dict)
     iterations: int = field(init=False, default=0)
     finished: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
-        if self.engine is None:
-            self.engine = InternalGenericEngine(self.catalog, self.query,
-                                                self.udfs, self.config)
         self.meter = CostMeter()
         self.engine.pre_process(self.meter)
         self.result_set = JoinResultSet(tuple(self.query.aliases))
@@ -152,6 +142,10 @@ class GenericLearningRun:
             self.batches[alias] = [
                 np.asarray(chunk, dtype=np.int64)
                 for chunk in np.array_split(positions, per_table)
+            ]
+            bounds = np.cumsum([0] + [chunk.shape[0] for chunk in self.batches[alias]])
+            self.remainders[alias] = [
+                np.asarray(positions[start:], dtype=np.int64) for start in bounds.tolist()
             ]
             self.batch_offsets[alias] = 0
         if any(self.engine.filtered_positions(a).shape[0] == 0 for a in self.query.aliases):
@@ -187,12 +181,11 @@ class GenericLearningRun:
             order = tree.choose_order()
         left = order[0]
         base_positions = self._base_positions(order)
-        assert self.engine is not None
-        slice_meter, tuples = self.engine.execute_batch(order, base_positions, choice.budget)
+        slice_meter, matrix = self.engine.execute_batch(order, base_positions, choice.budget)
         spent = slice_meter.total
         self.meter.merge(slice_meter)
-        if tuples is not None:
-            self.result_set.add_many(tuples)
+        if matrix is not None:
+            self.result_set.add_batch(matrix)
             self.batch_offsets[left] += 1
             tree.update(order, 1.0)
             if self.batch_offsets[left] >= len(self.batches[left]):
@@ -222,10 +215,7 @@ class GenericLearningRun:
             if alias == left:
                 positions[alias] = chunks[offset] if offset < len(chunks) else np.empty(0, np.int64)
             else:
-                remaining = chunks[offset:]
-                positions[alias] = (
-                    np.concatenate(remaining) if remaining else np.empty(0, np.int64)
-                )
+                positions[alias] = self.remainders[alias][offset]
         return positions
 
     # ------------------------------------------------------------------
@@ -258,10 +248,7 @@ class SkinnerGTask(EngineTask):
         # Wall clock is captured for the reporting-only wall_time_seconds
         # metric; every budget below runs on the work-unit clock.
         self._started = time.perf_counter()
-        self.run = GenericLearningRun(
-            engine._catalog, query, engine._udfs, engine._config,
-            engine=engine._make_generic_engine(query),
-        )
+        self.run = GenericLearningRun(query, engine._config, engine._make_generic_engine(query))
 
     @property
     def finished(self) -> bool:
@@ -306,21 +293,23 @@ class SkinnerG(ExecutionBackend):
             dbms_profile if isinstance(dbms_profile, EngineProfile) else get_profile(dbms_profile)
         )
         self._threads = threads
-        #: Substrate factory — ``None`` keeps the internal executor (the
-        #: historical behavior and the A/B reference); ``repro.external``
-        #: passes providers that drive a real DBMS.
+        #: Substrate factory — ``None`` keeps the internal executor;
+        #: ``repro.external`` passes providers that drive a real DBMS.
         self._generic_engine = generic_engine
         self._backend_label = backend_label
 
-    def _make_generic_engine(self, query: Query) -> GenericEngine | None:
-        """The substrate for one query; ``None`` means the internal executor.
+    def _make_generic_engine(self, query: Query) -> GenericEngine:
+        """The substrate for one query: the provider's, else the internal one.
 
         Providers may themselves return ``None`` to fall back (external
         engines facing UDF predicates warn and run internally).
         """
-        if self._generic_engine is None:
-            return None
-        return self._generic_engine(self._catalog, query, self._udfs, self._config)
+        substrate = None
+        if self._generic_engine is not None:
+            substrate = self._generic_engine(self._catalog, query, self._udfs, self._config)
+        if substrate is None:
+            substrate = InternalGenericEngine(self._catalog, query, self._udfs)
+        return substrate
 
     @property
     def name(self) -> str:
@@ -352,7 +341,6 @@ class SkinnerG(ExecutionBackend):
         extra_work: CostMeter | None = None,
     ) -> QueryResult:
         relation = run.result_set.to_relation()
-        assert run.engine is not None
         output = post_process(query, relation, run.engine.tables, self._udfs, run.meter)
         total = CostMeter()
         total.merge(run.meter)

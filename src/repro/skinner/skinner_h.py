@@ -14,12 +14,11 @@ from __future__ import annotations
 import time
 
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
-from repro.engine.executor import PlanExecutor
 from repro.engine.meter import CostMeter
 from repro.engine.postprocess import post_process
 from repro.engine.profiles import EngineProfile, get_profile
 from repro.engine.task import EngineTask, ExecutionBackend
-from repro.errors import BudgetExceeded, ExecutionError
+from repro.errors import ExecutionError
 from repro.optimizer.cardinality import EstimatedCardinality
 from repro.optimizer.dp_optimizer import DynamicProgrammingOptimizer
 from repro.optimizer.greedy import GreedyOptimizer
@@ -53,12 +52,9 @@ class SkinnerHTask(EngineTask):
         self._plan = engine._traditional_plan(query)
         # One pluggable substrate serves both sides of the hybrid: the
         # learning run's batch attempts and the traditional plan's timed
-        # whole-query attempts.  ``None`` keeps the historical internal
-        # executor paths byte-identical.
-        self._substrate = engine._generic._make_generic_engine(query)
+        # whole-query attempts.
         self.run = GenericLearningRun(
-            engine._catalog, query, engine._udfs, engine._config,
-            engine=self._substrate,
+            query, engine._config, engine._generic._make_generic_engine(query)
         )
         self._traditional_meter = CostMeter()
         self._result: QueryResult | None = None
@@ -98,23 +94,13 @@ class SkinnerHTask(EngineTask):
         for round_index in range(_MAX_ROUNDS):
             budget = engine._config.base_timeout * 2**round_index
             # 1. Try the traditional optimizer's plan under the current timeout.
-            relation = None
-            if self._substrate is None:
-                executor = PlanExecutor(engine._catalog, query, engine._udfs)
-                attempt_tables = executor.tables
-                attempt_meter = CostMeter(budget=budget)
-                try:
-                    relation = executor.execute_order(plan.order, attempt_meter)
-                except BudgetExceeded:
-                    pass
-                finally:
-                    # Merge unconditionally: an attempt aborted by any other
-                    # exception (e.g. a raising UDF) still consumed this work,
-                    # and the serving ledger reads it through work_total().
-                    self._traditional_meter.merge(attempt_meter)
-            else:
-                attempt_meter, relation = self._substrate.execute_plan(plan.order, budget)
-                attempt_tables = self._substrate.tables
+            attempt_meter = CostMeter(budget=budget)
+            try:
+                relation = run.engine.execute_plan(plan.order, attempt_meter)
+            finally:
+                # Merge unconditionally: an attempt aborted by any other
+                # exception (e.g. a raising UDF) still consumed this work,
+                # and the serving ledger reads it through work_total().
                 self._traditional_meter.merge(attempt_meter)
             if relation is not None:
                 # Canonical row order: the executor's output order is an
@@ -123,7 +109,7 @@ class SkinnerHTask(EngineTask):
                 # materialized rows byte-identical across substrates and
                 # identical to the learning path's result-set order.
                 relation = relation.canonical_order(query.aliases)
-                output = post_process(query, relation, attempt_tables, engine._udfs,
+                output = post_process(query, relation, run.engine.tables, engine._udfs,
                                       self._traditional_meter)
                 self._result = engine._traditional_result(
                     query, output, plan, run, self._traditional_meter,

@@ -1,4 +1,4 @@
-"""Dict-based hash join: the reference for the vectorized kernel.
+"""Dict-based hash join: the reference for the grouped-map hash join.
 
 :func:`rows_hash_join` has the signature of
 ``repro.engine.operators._vectorized_hash_join``, so a test swaps it in with
@@ -31,8 +31,13 @@ def rows_hash_join(
     equi_predicates: Sequence[Predicate],
     tables: Mapping[str, Table],
     meter: CostMeter,
+    index_for: Any = None,
 ) -> RowIdRelation:
-    """Build a dict of key tuples over ``positions``, probe it row by row."""
+    """Build a dict of key tuples over ``positions``, probe it row by row.
+
+    ``index_for`` (the executor's join-index cache) is ignored: the oracle
+    builds its dict from scratch on every call.
+    """
     build_keys = _keys_for_new(table, positions, alias, equi_predicates)
     buckets: dict[Any, list[int]] = {}
     for row, key in enumerate(build_keys):

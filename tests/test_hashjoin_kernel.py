@@ -20,13 +20,7 @@ from hypothesis import strategies as st
 
 from repro.config import SkinnerConfig
 from repro.engine.executor import PlanExecutor
-from repro.engine.joinkernels import (
-    KeyPart,
-    encode_composite_keys,
-    expand_matches,
-    group_rows,
-    probe_grouped,
-)
+from repro.engine.joinkernels import GroupedJoinMap, group_rows
 from repro.engine.meter import CostMeter
 from repro.engine.operators import hash_join_step
 from repro.engine.relation import RowIdRelation
@@ -232,6 +226,28 @@ class TestHashJoinStep:
                                   [column_equals_column("a", "x", "b", "x")], [], tables)
         assert len(joined) == 0
 
+    def test_sixteen_part_composite_key_matches_oracle(self):
+        """A 16-equality key: every part must land in the build row's run."""
+        rng = make_rng(7)
+        base = rng.integers(0, 40, size=40)
+        a_values = {f"c{i}": base.tolist() for i in range(16)}
+        order = rng.permutation(40)
+        b_values = {f"c{i}": base[order].tolist() for i in range(16)}
+        b_values["c9"] = [v + (1 if j % 3 == 0 else 0) for j, v in enumerate(b_values["c9"])]
+        a, b, tables = self._tables(a_values, b_values)
+        prefix = RowIdRelation.from_base("a", np.arange(a.num_rows))
+        equi = [column_equals_column("a", f"c{i}", "b", f"c{i}") for i in range(16)]
+        joined = self._both_modes(prefix, b, np.arange(b.num_rows), equi, [], tables)
+        expected = sorted(
+            (i, j) for i in range(40) for j in range(40)
+            if all(a_values[f"c{k}"][i] == b_values[f"c{k}"][j] for k in range(16))
+        )
+        assert joined.index_tuples(["a", "b"]) == expected
+        first_part_only = sum(
+            a_values["c0"][i] == b_values["c0"][j] for i in range(40) for j in range(40)
+        )
+        assert 0 < len(expected) < first_part_only  # later parts drop pairs
+
     def test_residual_predicate_applied_identically(self):
         a, b, tables = self._tables({"x": [1, 1, 2], "v": [10, 20, 30]},
                                     {"x": [1, 1, 2], "w": [15, 25, 5]})
@@ -316,31 +332,27 @@ class TestKernelPrimitives:
         # Each NaN forms its own run; none are merged.
         assert grouped.counts.tolist() == [1, 1, 1]
 
-    def test_probe_grouped_empty_build(self):
-        grouped = group_rows(np.empty(0, dtype=np.int64))
-        rows, groups = probe_grouped(grouped, np.array([1, 2, 3]))
-        assert rows.shape[0] == 0 and groups.shape[0] == 0
+    def test_probe_many_empty_build(self):
+        build = Column([1, 2, 3])
+        jmap = GroupedJoinMap(build, np.empty(0, dtype=np.int64))
+        probe = Column([1, 2, 3])
+        probe_rows, rows = jmap.expand(*jmap.probe_many(probe, probe.data))
+        assert probe_rows.shape[0] == 0 and rows.shape[0] == 0
 
     def test_probe_and_expand_round_trip(self):
-        grouped = group_rows(np.array([5, 7, 5, 9]))
-        rows, groups = probe_grouped(grouped, np.array([7, 5, 4]))
-        selector, build_rows = expand_matches(grouped, rows, groups)
-        assert selector.tolist() == [0, 1, 1]
-        assert build_rows.tolist() == [1, 0, 2]
+        build = Column([5, 7, 5, 9])
+        jmap = GroupedJoinMap(build, np.arange(4, dtype=np.int64))
+        probe = Column([7, 5, 4])
+        probe_rows, rows = jmap.expand(*jmap.probe_many(probe, probe.data))
+        assert probe_rows.tolist() == [0, 1, 1]
+        assert rows.tolist() == [1, 0, 2]
 
-    def test_encode_composite_requires_parts(self):
-        with pytest.raises(ValueError):
-            encode_composite_keys([])
-
-    def test_encode_many_parts_does_not_overflow(self):
-        """Radix combination re-compresses instead of overflowing int64."""
-        build = Column(list(range(40)))
-        probe = Column(list(range(40)))
-        values = build.data
-        parts = [KeyPart(build, values, probe, values) for _ in range(16)]
-        keys = encode_composite_keys(parts)
-        assert np.array_equal(keys.build_codes, keys.probe_codes)
-        assert np.unique(keys.build_codes).shape[0] == 40
+    def test_run_starts_name_equal_keys(self):
+        jmap = GroupedJoinMap(Column([5.0, float("nan"), 5.0, 1.0, float("nan")]),
+                              np.arange(5, dtype=np.int64))
+        run_starts = jmap.run_starts()
+        assert run_starts[0] == run_starts[2]  # both 5.0
+        assert len({run_starts[1], run_starts[4], run_starts[0], run_starts[3]}) == 4
 
     def test_translate_codes_maps_into_build_dictionary(self):
         build = Column(["a", "b", "c"])

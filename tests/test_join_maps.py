@@ -1,4 +1,4 @@
-"""Tests for the grouped-runs join maps of the Skinner preprocessor.
+"""Tests for the grouped-runs join maps (Skinner preprocessor and executor).
 
 ``GroupedJoinMap`` replaced the eager ``{decoded value: rows}`` dict with
 the hash-join kernel's grouped-runs form plus a binary-search lookup.  The
@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from repro.engine.meter import CostMeter
 from repro.query.predicates import column_equals_column
 from repro.query.query import make_query
-from repro.skinner.preprocessor import GroupedJoinMap, preprocess
+from repro.engine.joinkernels import GroupedJoinMap
+from repro.skinner.preprocessor import preprocess
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
